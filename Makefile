@@ -5,7 +5,7 @@
 #   make test    dune runtest only
 
 .PHONY: all build test bench smoke fault-smoke remote-smoke trace-smoke \
-	trace-frontend-smoke security-matrix store-smoke daemon-smoke check clean
+	trace-frontend-smoke security-matrix store-smoke check clean
 
 all: build
 
@@ -146,32 +146,8 @@ store-smoke: build
 		--cache-dir /tmp/chex86-store-smoke-cache > /dev/null
 	rm -rf /tmp/chex86-store-smoke-cache
 
-# Daemon crash-tolerance soak: submit job batches to chex86d over the
-# JSON control port while randomized SIGKILLs fire at the daemon's
-# named fault points (accept / journal-append / dispatch /
-# result-publish), across serial / --jobs 2 / --workers 2 geometries
-# (7 legs x 3 geometries = 21 kills).  Every leg must replay its
-# journal on restart to exactly-once completion with results
-# byte-identical to a fault-free serial reference, leave a clean store
-# fsck, and release the store lock; a final admission-control leg
-# saturates a --queue-limit 2 daemon and requires explicit `REJECTED
-# busy` answers (bounded queue, never a hang).  The last stanza proves
-# `make bench` refuses to run while a daemon holds the store lock.
-# Report lands in /tmp for CI artifact upload.
-daemon-smoke: build
-	./_build/default/test/daemon_soak.exe --legs 7 --seed 42 \
-		--report /tmp/chex86-daemon-report.json
-	rm -rf /tmp/chex86-daemon-guard
-	./_build/default/bin/chex86d.exe --cache-dir /tmp/chex86-daemon-guard \
-		--port 7719 > /dev/null 2>&1 & DPID=$$!; \
-	trap 'kill -9 $$DPID 2>/dev/null' EXIT; sleep 1; \
-	./_build/default/bench/main.exe bench \
-		--cache-dir /tmp/chex86-daemon-guard 2>&1 \
-		| grep -q "holds the store lock"
-	rm -rf /tmp/chex86-daemon-guard
-
 check: build test smoke fault-smoke remote-smoke trace-smoke \
-	trace-frontend-smoke security-matrix store-smoke daemon-smoke
+	trace-frontend-smoke security-matrix store-smoke
 
 clean:
 	dune clean

@@ -271,23 +271,6 @@ let rates_of_snapshot path =
     | _ -> [])
 
 let run_bench () =
-  (* A live chex86d scheduling sweeps into the same store would both
-     skew the measurement and race the snapshot trajectory; refuse
-     rather than publish a BENCH_<n>.json taken under contention. *)
-  let store_root =
-    match Chex86_harness.Runner.Store.dir () with
-    | Some d -> d
-    | None -> Chex86_harness.Runner.Store.default_dir
-  in
-  (match Chex86_harness.Daemon.lock_holder ~store_root with
-  | Some pid ->
-    Printf.eprintf
-      "bench: a chex86d daemon (pid %d) holds the store lock on %s; stop it (or \
-       point --cache-dir elsewhere) before benchmarking\n\
-       %!"
-      pid store_root;
-    exit 1
-  | None -> ());
   (* The de-allocated cycle core leaves a small, short-lived allocation
      profile; an 8 MW minor heap keeps what remains from being promoted
      (and then major-collected) inside the measured window. *)

@@ -585,7 +585,6 @@ let store_cmd =
       let s = Runner.Store.disk_stats ~dir in
       Printf.printf "entries:            %d (%d bytes)\n" s.Runner.Store.d_entries
         s.Runner.Store.d_bytes;
-      Printf.printf "legacy v1 entries:  %d\n" s.Runner.Store.d_v1;
       Printf.printf "in-flight tmp:      %d\n" s.Runner.Store.d_tmp;
       Printf.printf "quarantine backlog: %d\n" s.Runner.Store.d_quarantine
     in
@@ -631,9 +630,8 @@ let store_cmd =
           (fun () ->
             output_string oc body;
             output_char oc '\n'));
-      Printf.printf "scanned:            %d entries (%d ok, %d legacy v1, %d bytes)\n"
-        r.Runner.Store.f_scanned r.Runner.Store.f_ok r.Runner.Store.f_v1
-        r.Runner.Store.f_bytes;
+      Printf.printf "scanned:            %d entries (%d ok, %d bytes)\n"
+        r.Runner.Store.f_scanned r.Runner.Store.f_ok r.Runner.Store.f_bytes;
       Printf.printf "tmp:                %d pending, %d reclaimed\n"
         r.Runner.Store.f_tmp_pending r.Runner.Store.f_tmp_reclaimed;
       Printf.printf "quarantined:        %d now, %d backlog\n"

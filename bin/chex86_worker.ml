@@ -10,9 +10,6 @@ let () =
      ships only (kind, key, arg) strings, never code. *)
   Chex86_harness.Security.register_remote ();
   Chex86_harness.Runner.register_remote ();
-  (* daemon.sleep: chex86d soak jobs must be runnable on fleet workers
-     too, so every worker binary registers the daemon's test kinds. *)
-  Chex86_harness.Daemon.register_test_kinds ();
   (* Named fault points (CHEX86_FAULT_POINT) arm from the inherited
      environment so the chaos soak can kill store operations inside
      workers too; the per-chunk key plan still arrives over the wire

@@ -8,7 +8,7 @@
 
    All the sweeps here go through the batched dispatch path
    (Runner.prefetch_supervised / Security.sweep_stats_supervised ride on
-   Pool.map_*_batched), so --jobs/--batch-size apply uniformly and the
+   Pool.sweep), so --jobs/--batch-size apply uniformly and the
    rendered output is bit-identical at any (jobs, batch) geometry. *)
 
 module Render = Chex86_stats.Render

@@ -117,10 +117,6 @@ let known_points =
     "store.publish.post_rename";
     "store.evict.pre_unlink";
     "store.quarantine.pre_rename";
-    "daemon.accept";
-    "daemon.journal.append";
-    "daemon.dispatch";
-    "daemon.result.publish";
   ]
 
 let points : (string, point_spec) Hashtbl.t = Hashtbl.create 4

@@ -45,7 +45,7 @@ let current_jobs = Atomic.make (default_jobs ())
 let set_jobs n = Atomic.set current_jobs (max 1 n)
 let jobs () = Atomic.get current_jobs
 
-(* Process-wide batch size for the *_batched maps, set once from the CLI
+(* Process-wide batch size for [sweep], set once from the CLI
    (--batch-size).  [None] means auto: size chunks so each worker gets
    ~4 of them (enough slack for dynamic load balancing without paying
    per-task dispatch 864 times on a RIPE-sized sweep), clamped to
@@ -63,8 +63,8 @@ let resolve_batch ?batch_size:b ~jobs n =
   | None -> auto_batch_size ~jobs n
 
 (* Process-wide supervision defaults, set once from the CLI
-   (--retries / --task-timeout / --strict); [map_supervised] arguments
-   override them per sweep. *)
+   (--retries / --task-timeout / --strict); [sweep]'s arguments override
+   them per call. *)
 let current_retries = Atomic.make 0
 let set_retries n = Atomic.set current_retries (max 0 n)
 let retries () = Atomic.get current_retries
@@ -194,8 +194,8 @@ let merge_snapshots per_task =
 
 (* Telemetry boundary: fold a sweep's merged stats into the --metrics
    accumulator.  Runs after the merge is complete, so it observes —
-   never perturbs — the deterministic totals.  Every map_stats* variant
-   (and Remote.sweep) calls this on its way out. *)
+   never perturbs — the deterministic totals.  [sweep] (and
+   Remote.sweep) calls this on its way out. *)
 let publish_metrics (stats : merged_stats) =
   if Trace.metrics_on () then
     Trace.metrics_absorb
@@ -225,26 +225,6 @@ let make_ctx k =
   in
   (ctx, snapshots)
 
-let map_stats ?jobs:j ~key f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let compute i =
-    let k = key tasks.(i) in
-    let tid =
-      if Trace.on () then Trace.span_begin ~stage:"task" [ ("key", k) ] else 0
-    in
-    let ctx, snapshots = make_ctx k in
-    let v = try f tasks.(i) ctx with e -> Trace.span_end tid; raise e in
-    Trace.span_end tid;
-    let counter_snap, hist_snaps = snapshots () in
-    (v, counter_snap, hist_snaps)
-  in
-  let raw = run_indexed ~jobs (Array.length tasks) compute in
-  let stats =
-    merge_snapshots (Array.to_list (Array.map (fun (_, c, h) -> (c, h)) raw))
-  in
-  publish_metrics stats;
-  (Array.map (fun (v, _, _) -> v) raw, stats)
-
 (* --- batched scheduling ---------------------------------------------------- *)
 
 (* Chunks are contiguous [start, start+len) slices of the task index
@@ -260,107 +240,6 @@ let chunk_ranges ~batch n =
     (fun ci ->
       let start = ci * batch in
       (start, min batch (n - start)))
-
-(* Lowest-index failure wins, exactly like [run_indexed]'s re-raise. *)
-let reraise_first slots =
-  Array.iter
-    (function Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-    slots;
-  Array.map (function Ok v -> v | Error _ -> assert false) slots
-
-let map_batched ?jobs:j ?batch_size f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let n = Array.length tasks in
-  let batch = resolve_batch ?batch_size ~jobs n in
-  let chunks = chunk_ranges ~batch n in
-  let per_chunk =
-    run_indexed ~jobs (Array.length chunks) (fun ci ->
-        let start, len = chunks.(ci) in
-        (* Per-task catch: a crash mid-chunk must not strand its
-           chunk-mates' results (the coordinator still re-raises the
-           lowest-index failure afterwards). *)
-        Array.init len (fun k ->
-            let i = start + k in
-            try Ok (f tasks.(i))
-            with e -> Error (e, Printexc.get_raw_backtrace ())))
-  in
-  reraise_first (Array.init n (fun i -> per_chunk.(i / batch).(i mod batch)))
-
-(* Chunk-private stats: one counter group and histogram table shared by
-   every task of the chunk — the single per-chunk snapshot that cuts
-   merge rounds from n to n/B.  Pointwise-additive merges make this
-   equivalent to merging per-task groups in task order. *)
-let make_chunk_stats () =
-  let counters = Counter.create_group () in
-  let hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 4 in
-  let histogram name =
-    match Hashtbl.find_opt hists name with
-    | Some h -> h
-    | None ->
-      let h = Histogram.create () in
-      Hashtbl.add hists name h;
-      h
-  in
-  let snapshots () =
-    let hist_snaps =
-      Hashtbl.fold (fun name h acc -> (name, Histogram.snapshot h) :: acc) hists []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    (Counter.group_snapshot counters, hist_snaps)
-  in
-  (counters, histogram, snapshots)
-
-(* [pool.chunks] records how many dispatch rounds the sweep actually
-   paid.  It is the *only* scheduling-dependent counter the pool ever
-   merges: with auto batch sizing it varies with --jobs, so determinism
-   tests compare merged counters modulo this one name. *)
-let chunk_counter stats ~chunks = Counter.incr ~by:chunks stats.counters "pool.chunks"
-
-let map_stats_batched ?jobs:j ?batch_size ~key f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let n = Array.length tasks in
-  let batch = resolve_batch ?batch_size ~jobs n in
-  let chunks = chunk_ranges ~batch n in
-  let per_chunk =
-    run_indexed ~jobs (Array.length chunks) (fun ci ->
-        let start, len = chunks.(ci) in
-        let cid =
-          if Trace.on () then
-            Trace.span_begin ~stage:"chunk"
-              [ ("chunk", string_of_int ci); ("tasks", string_of_int len) ]
-          else 0
-        in
-        let counters, histogram, snapshots = make_chunk_stats () in
-        let slots =
-          Array.init len (fun k ->
-              let i = start + k in
-              let task_key = key tasks.(i) in
-              let tid =
-                if Trace.on () then
-                  Trace.span_begin ~parent:cid ~stage:"task" [ ("key", task_key) ]
-                else 0
-              in
-              let ctx =
-                { key = task_key; rng = rng_of_key task_key; counters; histogram }
-              in
-              let slot =
-                try Ok (f tasks.(i) ctx)
-                with e -> Error (e, Printexc.get_raw_backtrace ())
-              in
-              Trace.span_end tid;
-              slot)
-        in
-        let out = (slots, snapshots ()) in
-        Trace.span_end cid;
-        out)
-  in
-  let values =
-    reraise_first (Array.init n (fun i -> (fst per_chunk.(i / batch)).(i mod batch)))
-  in
-  let stats = merge_snapshots (Array.to_list (Array.map snd per_chunk)) in
-  chunk_counter stats ~chunks:(Array.length chunks);
-  publish_metrics stats;
-  (values, stats)
 
 (* --- supervised tasks: contain the fault, report it, keep going ----------- *)
 
@@ -562,16 +441,6 @@ let supervise_params ?retries:r ?task_timeout:t () =
   let timeout = match t with Some _ -> t | None -> task_timeout () in
   (retries, timeout)
 
-let map_supervised ?jobs:j ?retries ?task_timeout ~key f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let retries, timeout = supervise_params ?retries ?task_timeout () in
-  let compute i =
-    attempt_task ~retries ~timeout ~key:(key tasks.(i))
-      (fun ~attempt:_ ~attempt_key:_ -> f tasks.(i))
-  in
-  let raw = run_indexed ~jobs (Array.length tasks) compute in
-  (Array.map fst raw, build_report ~chunks:(Array.length tasks) ~key tasks raw)
-
 (* Fault counters fold into the merged stats so a partial sweep carries
    its own health record; they are derived from the per-task
    classification (scheduling-independent), preserving the jobs=n ==
@@ -585,75 +454,20 @@ let fault_counters report group =
   Counter.incr ~by:report.worker_lost group "pool.worker_lost";
   Counter.incr ~by:report.retries_used group "pool.retries_used"
 
-let map_stats_supervised ?jobs:j ?retries ?task_timeout ~key f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let retries, timeout = supervise_params ?retries ?task_timeout () in
-  let compute i =
-    attempt_task ~retries ~timeout ~key:(key tasks.(i))
-      (fun ~attempt:_ ~attempt_key ->
-        (* A fresh private context per attempt: a faulted attempt's
-           partial stats are discarded wholesale, so the merged totals
-           only ever count completed tasks. *)
-        let ctx, snapshots = make_ctx attempt_key in
-        let v = f tasks.(i) ctx in
-        let counter_snap, hist_snaps = snapshots () in
-        (v, counter_snap, hist_snaps))
-  in
-  let raw = run_indexed ~jobs (Array.length tasks) compute in
-  let report = build_report ~chunks:(Array.length tasks) ~key tasks raw in
-  let stats =
-    merge_snapshots
-      (Array.to_list raw
-      |> List.filter_map (fun (outcome, _) ->
-             match outcome with Ok (_, c, h) -> Some (c, h) | Error _ -> None))
-  in
-  fault_counters report stats.counters;
-  publish_metrics stats;
-  let results =
-    Array.map
-      (fun (outcome, _) -> Result.map (fun (v, _, _) -> v) outcome)
-      raw
-  in
-  (results, stats, report)
-
-(* --- batched supervision --------------------------------------------------- *)
+(* --- the sweep ------------------------------------------------------------ *)
 
 (* One chunk = one pool dispatch, but supervision stays per *task*: each
    task of the chunk runs under its own [attempt_task] fence (retry
    budget, injection hook, cooperative deadline), and [attempt_task]
    never raises, so a crash or timeout mid-chunk faults exactly that
    task — its chunk-mates keep running and the fault report stays keyed
-   per task. *)
-let map_supervised_batched ?jobs:j ?batch_size ?retries ?task_timeout ~key f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let retries, timeout = supervise_params ?retries ?task_timeout () in
-  let n = Array.length tasks in
-  let batch = resolve_batch ?batch_size ~jobs n in
-  let chunks = chunk_ranges ~batch n in
-  let per_chunk =
-    run_indexed ~jobs (Array.length chunks) (fun ci ->
-        let start, len = chunks.(ci) in
-        let cid =
-          if Trace.on () then
-            Trace.span_begin ~stage:"chunk"
-              [ ("chunk", string_of_int ci); ("tasks", string_of_int len) ]
-          else 0
-        in
-        let slots =
-          Array.init len (fun k ->
-              let i = start + k in
-              attempt_task ~span_parent:cid ~retries ~timeout ~key:(key tasks.(i))
-                (fun ~attempt:_ ~attempt_key:_ -> f tasks.(i)))
-        in
-        Trace.span_end cid;
-        slots)
-  in
-  let raw = Array.init n (fun i -> per_chunk.(i / batch).(i mod batch)) in
-  let report = build_report ~chunks:(Array.length chunks) ~key tasks raw in
-  (Array.map fst raw, report)
+   per task.
 
-let map_stats_supervised_batched ?jobs:j ?batch_size ?retries ?task_timeout ~key f
-    tasks =
+   [pool.chunks] records how many dispatch rounds the sweep actually
+   paid.  It is the *only* scheduling-dependent counter the pool ever
+   merges: with auto batch sizing it varies with --jobs, so determinism
+   tests compare merged counters modulo this one name. *)
+let sweep ?jobs:j ?batch_size ?retries ?task_timeout ~key f tasks =
   let jobs = match j with Some j -> max 1 j | None -> jobs () in
   let retries, timeout = supervise_params ?retries ?task_timeout () in
   let n = Array.length tasks in
@@ -668,8 +482,8 @@ let map_stats_supervised_batched ?jobs:j ?batch_size ?retries ?task_timeout ~key
               [ ("chunk", string_of_int ci); ("tasks", string_of_int len) ]
           else 0
         in
-        (* Each attempt still gets a fresh private context (a faulted
-           attempt's partial stats are discarded wholesale); completed
+        (* Each attempt gets a fresh private context (a faulted attempt's
+           partial stats are discarded wholesale); completed
            tasks fold into one chunk-level accumulator so the
            coordinator merges per chunk, not per task. *)
         let acc_counters = ref Counter.empty_snapshot in
@@ -709,6 +523,6 @@ let map_stats_supervised_batched ?jobs:j ?batch_size ?retries ?task_timeout ~key
   let report = build_report ~chunks:(Array.length chunks) ~key tasks raw in
   let stats = merge_snapshots (Array.to_list (Array.map snd per_chunk)) in
   fault_counters report stats.counters;
-  chunk_counter stats ~chunks:report.chunks;
+  Counter.incr ~by:report.chunks stats.counters "pool.chunks";
   publish_metrics stats;
   (Array.map fst raw, stats, report)

@@ -174,10 +174,10 @@ let run_threads ?(timing = false) ?(max_insns = 50_000_000)
 
 (* Spills memoized runs to disk so an interrupted sweep resumes where it
    stopped, repeated invocations skip re-simulation entirely, and many
-   concurrent processes (sweeps, workers, a future chex86d daemon) can
-   share one warm cache.  Entries are keyed by the memo key ([job_key])
-   plus a content digest of the built workload program, so editing a
-   workload builder invalidates its cached runs.
+   concurrent processes (sweeps and worker processes) can share one warm
+   cache.  Entries are keyed by the memo key ([job_key]) plus a content
+   digest of the built workload program, so editing a workload builder
+   invalidates its cached runs.
 
    v2 layout, content-addressed and shared-writer safe:
 
@@ -187,9 +187,10 @@ let run_threads ?(timing = false) ?(max_insns = 50_000_000)
      <dir>/objects/<hh>/.tmp-<pid>-<n>-*  in-flight writes
      <dir>/quarantine/                    corrupt entries, kept for
                                           post-mortem instead of deleted
-     <dir>/<slug>-<id>.run                legacy v1 entries, read through
-                                          and migrated into objects/ on
-                                          first hit
+
+   A flat <dir>/<slug>-<id>.run is a pre-sharding chex86-store-v1 entry.
+   It predates later timing fixes, so it is never served: load misses
+   it and fsck quarantines it.
 
    Crash model (machine-checked by `chex86_sim store fsck` and the
    kill/resume chaos soak): a writer may be SIGKILLed at any point.
@@ -204,7 +205,6 @@ let run_threads ?(timing = false) ?(max_insns = 50_000_000)
    operation so a sweep on a full disk still completes. *)
 module Store = struct
   let format_version = "chex86-store-v2"
-  let v1_format_version = "chex86-store-v1"
 
   let dir_ref : string option Atomic.t = Atomic.make None
   let max_bytes_ref : int option Atomic.t = Atomic.make None
@@ -216,7 +216,6 @@ module Store = struct
   let quarantined = Atomic.make 0
   let race_lost = Atomic.make 0
   let evicted = Atomic.make 0
-  let migrated = Atomic.make 0
   let write_errors = Atomic.make 0
   let degraded = Atomic.make false
 
@@ -229,7 +228,6 @@ module Store = struct
     quarantined : int;
     race_lost : int;
     evicted : int;
-    migrated : int;
     write_errors : int;
     degraded : bool;
   }
@@ -244,7 +242,6 @@ module Store = struct
       quarantined = Atomic.get quarantined;
       race_lost = Atomic.get race_lost;
       evicted = Atomic.get evicted;
-      migrated = Atomic.get migrated;
       write_errors = Atomic.get write_errors;
       degraded = Atomic.get degraded;
     }
@@ -258,18 +255,12 @@ module Store = struct
     Atomic.set quarantined 0;
     Atomic.set race_lost 0;
     Atomic.set evicted 0;
-    Atomic.set migrated 0;
     Atomic.set write_errors 0;
     Atomic.set degraded false
 
   let default_dir = "_chex86_cache"
   let objects_dirname = "objects"
   let quarantine_dirname = "quarantine"
-
-  (* chex86d keeps its job journal and store lock under
-     <root>/daemon/ (see Daemon); it is a legitimate tenant of the
-     store root, not a foreign directory. *)
-  let daemon_dirname = "daemon"
   let objects_dir d = Filename.concat d objects_dirname
   let quarantine_dir d = Filename.concat d quarantine_dirname
 
@@ -317,8 +308,8 @@ module Store = struct
     | Some pid -> ((not (pid_alive pid)) && age > tmp_min_age) || age > tmp_stale_age
     | None -> age > tmp_stale_age
 
-  (* The directories holding entries (and therefore possibly tmp
-     files): the root (v1 era) plus every populated shard. *)
+  (* The directories that may hold entries or tmp files: the root plus
+     every populated shard. *)
   let entry_dirs d =
     let shards =
       match Sys.readdir (objects_dir d) with
@@ -440,14 +431,12 @@ module Store = struct
         then Some (String.sub id 0 2)
         else None
 
-  (* [entry_paths ~key ~digest] is [(v1 path, v2 path)] under the
-     configured directory. *)
-  let entry_paths_in d ~key ~digest =
-    let name = entry_name ~key ~digest in
+  (* [entry_path_in d ~key ~digest] is the entry's sharded path under [d]. *)
+  let entry_path_in d ~key ~digest =
     let shard = String.sub (entry_id ~key ~digest) 0 2 in
-    (Filename.concat d name, Filename.concat (Filename.concat (objects_dir d) shard) name)
+    Filename.concat (Filename.concat (objects_dir d) shard) (entry_name ~key ~digest)
 
-  let entry_paths ~key ~digest = Option.map (fun d -> entry_paths_in d ~key ~digest) (dir ())
+  let entry_path ~key ~digest = Option.map (fun d -> entry_path_in d ~key ~digest) (dir ())
 
   let read_file path =
     let ic = open_in_bin path in
@@ -455,9 +444,8 @@ module Store = struct
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-  (* Entry layout.
-     v2: version line, payload-digest line, payload-length line, payload.
-     v1 (legacy): version line, payload-digest line, payload. *)
+  (* Entry layout: version line, payload-digest line, payload-length
+     line, payload. *)
   let header_lines body n =
     let rec go start acc k =
       if k = 0 then Some (List.rev acc, start)
@@ -468,9 +456,7 @@ module Store = struct
     in
     go 0 [] n
 
-  type version = V1 | V2
-
-  let parse_entry body : (run * version, string) result =
+  let parse_entry body : (run, string) result =
     let check_payload payload payload_digest =
       if Digest.to_hex (Digest.string payload) <> payload_digest then
         Error "payload digest mismatch"
@@ -497,17 +483,12 @@ module Store = struct
             Error
               (Printf.sprintf "payload is %d bytes, header says %d"
                  (String.length payload) len)
-          | Some _ -> Result.map (fun run -> (run, V2)) (check_payload payload payload_digest))
+          | Some _ -> check_payload payload payload_digest)
         | _ -> Error "truncated header"
-      else if version = v1_format_version then
-        match header_lines body 2 with
-        | Some ([ _; payload_digest ], off) ->
-          let payload = String.sub body off (String.length body - off) in
-          Result.map (fun run -> (run, V1)) (check_payload payload payload_digest)
-        | _ -> Error "truncated header"
+      else if version = "chex86-store-v1" then Error "legacy v1 entry"
       else Error (Printf.sprintf "unknown format version %S" version)
 
-  let parse_file path : (run * version, [ `Missing | `Corrupt of string ]) result =
+  let parse_file path : (run, [ `Missing | `Corrupt of string ]) result =
     if not (Sys.file_exists path) then Error `Missing
     else
       match parse_entry (read_file path) with
@@ -746,61 +727,37 @@ module Store = struct
     match dir () with
     | None -> ()
     | Some d ->
-      let _, v2_path = entry_paths_in d ~key ~digest in
-      save_internal d ~key (Marshal.to_string (run : run) []) ~v2_path
+      save_internal d ~key (Marshal.to_string (run : run) [])
+        ~v2_path:(entry_path_in d ~key ~digest)
 
   let load ~key ~digest : run option =
     match dir () with
     | None -> None
     | Some d -> (
-      let v1_path, v2_path = entry_paths_in d ~key ~digest in
+      let path = entry_path_in d ~key ~digest in
       ignore (Faultinject.at_point "store.load.pre_read");
-      if is_bad v2_path then begin
+      if is_bad path then begin
         note_miss ~key;
         None
       end
       else
-        match parse_file v2_path with
-        | Ok (run, _) ->
-          note_hit ~key (Filename.basename v2_path);
+        match parse_file path with
+        | Ok run ->
+          note_hit ~key (Filename.basename path);
           Some run
         | Error (`Corrupt reason) ->
-          quarantine_entry d v2_path reason;
+          quarantine_entry d path reason;
           note_miss ~key;
           None
-        | Error `Missing -> (
-          (* v1 read-through: serve the legacy entry and migrate it
-             into the sharded tree so the flat layout drains away. *)
-          if is_bad v1_path then begin
-            note_miss ~key;
-            None
-          end
-          else
-            match parse_file v1_path with
-            | Error `Missing ->
-              note_miss ~key;
-              None
-            | Error (`Corrupt reason) ->
-              quarantine_entry d v1_path reason;
-              note_miss ~key;
-              None
-            | Ok (run, _) ->
-              save_internal d ~key (Marshal.to_string (run : run) []) ~v2_path;
-              if Sys.file_exists v2_path then begin
-                (try Sys.remove v1_path with Sys_error _ -> ());
-                Atomic.incr migrated;
-                if Trace.on () then
-                  Trace.instant ~stage:"store.migrate" [ ("key", key) ]
-              end;
-              note_hit ~key (Filename.basename v2_path);
-              Some run))
+        | Error `Missing ->
+          note_miss ~key;
+          None)
 
   (* --- offline maintenance: stats / gc / fsck ------------------------------ *)
 
   type disk_stats = {
     d_entries : int;
     d_bytes : int;
-    d_v1 : int;  (* legacy flat entries not yet migrated *)
     d_tmp : int;
     d_quarantine : int;
   }
@@ -820,10 +777,6 @@ module Store = struct
     {
       d_entries = List.length entries;
       d_bytes = List.fold_left (fun a (_, s, _) -> a + s) 0 entries;
-      d_v1 =
-        count_dir d (fun name ->
-            is_entry_name name && Sys.file_exists (Filename.concat d name)
-            && not (Sys.is_directory (Filename.concat d name)));
       d_tmp = tmp;
       d_quarantine = count_dir (quarantine_dir d) (fun _ -> true);
     }
@@ -860,7 +813,6 @@ module Store = struct
   type fsck_report = {
     f_scanned : int;  (* published entries examined *)
     f_ok : int;  (* entries that parsed and verified *)
-    f_v1 : int;  (* of which legacy v1 *)
     f_bytes : int;  (* bytes across valid entries *)
     f_tmp_pending : int;  (* young tmp files left in place *)
     f_tmp_reclaimed : int;  (* stale tmp files removed by this pass *)
@@ -872,15 +824,15 @@ module Store = struct
   let fsck_clean r = r.f_issues = []
 
   (* Full invariant check over a store tree.  Violations: an entry that
-     fails to parse/verify, a v2 entry outside (or in the wrong shard
-     of) the objects/ tree, a v1 entry inside it, a non-hex shard
-     directory.  Young tmp files are in-flight writes, not violations;
-     stale ones are reclaimed and reported but also not violations —
-     they are exactly what the crash model says a SIGKILL leaves
-     behind.  Corrupt and misplaced entries are quarantined so a second
+     fails to parse/verify (a legacy v1 entry among them), an entry
+     outside (or in the wrong shard of) the objects/ tree, a non-hex
+     shard directory.  Young tmp files are in-flight writes, not
+     violations; stale ones are reclaimed and reported but also not
+     violations — they are exactly what the crash model says a SIGKILL
+     leaves behind.  Corrupt and misplaced entries are quarantined so a second
      fsck run comes back clean. *)
   let fsck ~dir:d =
-    let scanned = ref 0 and ok = ref 0 and v1 = ref 0 and bytes = ref 0 in
+    let scanned = ref 0 and ok = ref 0 and bytes = ref 0 in
     let tmp_pending = ref 0 and tmp_swept = ref 0 and quarantined_now = ref 0 in
     let issues = ref [] in
     let issue path problem = issues := { f_path = path; f_problem = problem } :: !issues in
@@ -906,29 +858,22 @@ module Store = struct
     let check_entry ~expect_shard dir name =
       let path = Filename.concat dir name in
       incr scanned;
-      match parse_file path with
-      | Error `Missing -> issue path "vanished mid-scan"
-      | Error (`Corrupt reason) -> issue_quarantine path reason
-      | Ok (_, version) -> (
-        let size = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-        match (version, expect_shard) with
-        | V1, None ->
+      match (parse_file path, expect_shard) with
+      | Error `Missing, _ -> issue path "vanished mid-scan"
+      | Error (`Corrupt reason), _ -> issue_quarantine path reason
+      | Ok _, None -> issue_quarantine path "v2 entry outside the objects/ tree"
+      | Ok _, Some shard -> (
+        match shard_of_name name with
+        | Some s when s = shard ->
           incr ok;
-          incr v1;
-          bytes := !bytes + size
-        | V2, None -> issue_quarantine path "v2 entry outside the objects/ tree"
-        | V1, Some _ -> issue_quarantine path "legacy v1 entry inside the objects/ tree"
-        | V2, Some shard -> (
-          match shard_of_name name with
-          | Some s when s = shard ->
-            incr ok;
-            bytes := !bytes + size
-          | Some s ->
-            issue_quarantine path
-              (Printf.sprintf "entry named for shard %s found in %s" s shard)
-          | None -> issue_quarantine path "entry name carries no digest"))
+          bytes := !bytes + (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0)
+        | Some s ->
+          issue_quarantine path
+            (Printf.sprintf "entry named for shard %s found in %s" s shard)
+        | None -> issue_quarantine path "entry name carries no digest")
     in
-    (* Root: legacy v1 entries, tmp files, and the two known dirs. *)
+    (* Root: tmp files and the two known dirs; an entry here is a
+       legacy v1 entry or a misplaced v2 one. *)
     (match Sys.readdir d with
     | exception Sys_error _ -> ()
     | names ->
@@ -936,10 +881,8 @@ module Store = struct
         (fun name ->
           let path = Filename.concat d name in
           if Sys.is_directory path then begin
-            if
-              name <> objects_dirname && name <> quarantine_dirname
-              && name <> daemon_dirname
-            then issue path "unexpected directory in store root"
+            if name <> objects_dirname && name <> quarantine_dirname then
+              issue path "unexpected directory in store root"
           end
           else if is_tmp_name name then check_tmp d name
           else if is_entry_name name then check_entry ~expect_shard:None d name
@@ -972,7 +915,6 @@ module Store = struct
     {
       f_scanned = !scanned;
       f_ok = !ok;
-      f_v1 = !v1;
       f_bytes = !bytes;
       f_tmp_pending = !tmp_pending;
       f_tmp_reclaimed = !tmp_swept;
@@ -988,7 +930,6 @@ module Store = struct
         ("clean", Json.Bool (fsck_clean r));
         ("scanned", Json.Int r.f_scanned);
         ("ok", Json.Int r.f_ok);
-        ("v1", Json.Int r.f_v1);
         ("bytes", Json.Int r.f_bytes);
         ("tmp_pending", Json.Int r.f_tmp_pending);
         ("tmp_reclaimed", Json.Int r.f_tmp_reclaimed);
@@ -1218,66 +1159,47 @@ let () =
                 ("quarantined", Json.Int s.Store.quarantined);
                 ("race_lost", Json.Int s.Store.race_lost);
                 ("evicted", Json.Int s.Store.evicted);
-                ("migrated", Json.Int s.Store.migrated);
                 ("write_errors", Json.Int s.Store.write_errors);
                 ("degraded", Json.Bool s.Store.degraded);
               ] );
         ]
 
-(* Supervised prefetch: a crashing or wedged job is recorded in the
-   fault table and the rest of the sweep completes (a mid-chunk fault
-   only claims the offending job); healthy results are published to the
-   memo in job order exactly like [prefetch].  With workers configured
-   the jobs run in worker processes instead ([?jobs] is ignored); a
-   lost worker surfaces as a [Pool.Worker_lost] fault on the job that
-   was in flight. *)
+(* The prefetch is supervised: a crashing or wedged job is recorded in
+   the fault table and the rest of the sweep completes (a mid-chunk
+   fault only claims the offending job).  With workers configured the
+   jobs run in worker processes instead ([?jobs] is ignored); a lost
+   worker surfaces as a [Pool.Worker_lost] fault on the job that was in
+   flight. *)
 let prefetch_supervised ?jobs ?batch_size ?retries ?task_timeout job_list =
   let todo = dedup_jobs job_list in
   Trace.with_span ~stage:"sweep"
     [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
   @@ fun () ->
-  if Remote.enabled () && Array.length todo > 0 then begin
-    register_remote ();
-    let payloads, _stats, report =
-      Remote.sweep ?batch_size ?retries ?task_timeout ~kind:remote_kind ~key:job_key
-        ~arg:remote_job_arg todo
-    in
-    ignore jobs;
-    Array.iteri
-      (fun i result ->
-        let key = job_key todo.(i) in
-        match result with
-        | Ok payload ->
-          ignore (memo_publish key (Marshal.from_string payload 0 : run))
-        | Error fault -> record_fault key fault)
-      payloads;
-    report
-  end
-  else begin
-    let results, report =
-      Pool.map_supervised_batched ?jobs ?batch_size ?retries ?task_timeout ~key:job_key
-        (fun j ->
+  let results, _stats, report =
+    if Remote.enabled () && Array.length todo > 0 then begin
+      register_remote ();
+      let payloads, stats, report =
+        Remote.sweep ?batch_size ?retries ?task_timeout ~kind:remote_kind ~key:job_key
+          ~arg:remote_job_arg todo
+      in
+      let decode p = (Marshal.from_string p 0 : run) in
+      (Array.map (Result.map decode) payloads, stats, report)
+    end
+    else
+      Pool.sweep ?jobs ?batch_size ?retries ?task_timeout ~key:job_key
+        (fun j _ctx ->
           Pool.check_deadline ();
           run_job j)
         todo
-    in
-    Array.iteri
-      (fun i result ->
-        let key = job_key todo.(i) in
-        match result with
-        | Ok run -> ignore (memo_publish key run)
-        | Error fault -> record_fault key fault)
-      results;
-    report
-  end
-
-let prefetch ?jobs ?batch_size job_list =
-  let todo = dedup_jobs job_list in
-  Trace.with_span ~stage:"sweep"
-    [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
-  @@ fun () ->
-  let runs = Pool.map_batched ?jobs ?batch_size run_job todo in
-  Array.iteri (fun i run -> ignore (memo_publish (job_key todo.(i)) run)) runs
+  in
+  Array.iteri
+    (fun i result ->
+      let key = job_key todo.(i) in
+      match result with
+      | Ok run -> ignore (memo_publish key run)
+      | Error fault -> record_fault key fault)
+    results;
+  report
 
 (* Test hook: forget every memoized run and recorded fault so a test can
    exercise the cold path repeatedly in one process. Store stats reset

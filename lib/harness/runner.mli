@@ -66,8 +66,9 @@ val run_threads :
     concurrent processes share one cache. Disabled until [configure]d.
 
     v2 layout: entries live in [objects/<shard>/], sharded by the first
-    byte of the entry's content digest; legacy flat v1 entries are read
-    through and migrated on first hit. Publish is an O_EXCL tmp write
+    byte of the entry's content digest. Legacy flat v1 entries predate
+    later timing fixes: they are never served, and [fsck] quarantines
+    them. Publish is an O_EXCL tmp write
     followed by an atomic link/rename, so readers never observe partial
     entries and two processes racing on one key are benign (the loser
     counts [race_lost] — a hit in effect). Corrupt entries are
@@ -103,7 +104,6 @@ module Store : sig
     quarantined : int;  (** corrupt entries moved into [quarantine/] *)
     race_lost : int;  (** publishes beaten by a concurrent writer *)
     evicted : int;  (** entries removed by the size budget *)
-    migrated : int;  (** v1 entries rewritten into the v2 tree *)
     write_errors : int;  (** failed entry writes (any cause) *)
     degraded : bool;  (** store is memo-only after ENOSPC/EROFS *)
   }
@@ -117,9 +117,9 @@ module Store : sig
 
   val save : key:string -> digest:string -> run -> unit
 
-  (** [(v1 path, v2 path)] for an entry under the configured directory;
+  (** The sharded path of an entry under the configured directory;
       [None] when the store is disabled. *)
-  val entry_paths : key:string -> digest:string -> (string * string) option
+  val entry_path : key:string -> digest:string -> string option
 
   (** Forget the entries pinned by this process, making them eviction
       candidates again (tests / end of sweep). *)
@@ -133,7 +133,6 @@ module Store : sig
   type disk_stats = {
     d_entries : int;
     d_bytes : int;
-    d_v1 : int;  (** legacy flat entries not yet migrated *)
     d_tmp : int;
     d_quarantine : int;
   }
@@ -157,7 +156,6 @@ module Store : sig
   type fsck_report = {
     f_scanned : int;  (** published entries examined *)
     f_ok : int;  (** entries that parsed and verified *)
-    f_v1 : int;  (** of which legacy v1 *)
     f_bytes : int;  (** bytes across valid entries *)
     f_tmp_pending : int;  (** young tmp files left in place *)
     f_tmp_reclaimed : int;  (** stale tmp files removed by this pass *)
@@ -167,8 +165,9 @@ module Store : sig
   }
 
   (** Verify every store invariant the crash model promises: entries
-      parse and digest-verify, v2 entries sit in their named shard, no
-      v1 entries inside [objects/], no foreign files. Torn tmp files
+      parse and digest-verify (a legacy v1 entry fails as
+      ["legacy v1 entry"]), entries sit in their named shard, no foreign
+      files. Torn tmp files
       are {e not} violations (they are what a SIGKILL leaves); stale
       ones are reclaimed, corrupt and misplaced entries quarantined, so
       a second run comes back clean. *)
@@ -225,28 +224,24 @@ val job :
 
 val job_key : job -> string
 
-(** Simulate the not-yet-memoized jobs on the domain pool in batched
-    chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to the
-    process-wide knob / auto-sizing) and publish the results into the
-    memo in job order, so the serial figure-assembly code then hits the
-    memo. Results are bit-identical to running the same jobs serially,
-    at any batch size. *)
-val prefetch : ?jobs:int -> ?batch_size:int -> job list -> unit
-
 (** Register the ["bench"] remote task kind (workload lookup by name,
     memo-key fields via a marshalled arg) so prefetches can run in
     worker processes; called by the worker binary at startup and by the
     supervisor before routing. Idempotent. *)
 val register_remote : unit -> unit
 
-(** [prefetch] with per-task supervision: a crashing or wedged job is
-    recorded in the fault table (see {!run_workload_result} /
-    {!faulted_jobs}) and the rest of the sweep — including the faulted
-    job's chunk-mates — completes. Jobs already faulted are not retried
-    by later prefetches sharing the key. When workers are configured
-    ({!Remote.enabled}) the jobs run in worker processes instead
-    ([?jobs] is ignored); a lost worker surfaces as [Pool.Worker_lost]
-    on the in-flight job. *)
+(** Simulate the not-yet-memoized jobs through {!Pool.sweep} in batched
+    chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to the
+    process-wide knob / auto-sizing) and publish the results into the
+    memo in job order, so the serial figure-assembly code then hits the
+    memo. Results are bit-identical to running the same jobs serially,
+    at any batch size. A crashing or wedged job is recorded in the fault
+    table (see {!run_workload_result} / {!faulted_jobs}) and the rest of
+    the sweep — including the faulted job's chunk-mates — completes.
+    Jobs already faulted are not retried by later prefetches sharing
+    the key. When workers are configured ({!Remote.enabled}) the jobs
+    run in worker processes instead ([?jobs] is ignored); a lost worker
+    surfaces as [Pool.Worker_lost] on the in-flight job. *)
 val prefetch_supervised :
   ?jobs:int ->
   ?batch_size:int ->

@@ -70,31 +70,6 @@ let tally_result (ctx : Pool.ctx) r =
     (ctx.Pool.histogram "sweep.protected_macro_insns")
     r.under_protection.Runner.macro_insns
 
-(* The 800+ exploits shard trivially: each evaluation builds its own two
-   guest programs and monitors.  Dispatch is batched (Pool.map_stats_batched):
-   workers tally outcome counters and an instruction-count histogram into
-   chunk-shared stats snapshotted once per chunk; the coordinator merges
-   them in chunk (= ascending exploit) order, so the sweep is
-   bit-identical at any job count and batch size (modulo the
-   [pool.chunks] dispatch counter). *)
-let sweep_stats ?config ?jobs ?batch_size exploits =
-  Trace.with_span ~stage:"sweep"
-    [ ("kind", "security"); ("tasks", string_of_int (List.length exploits)) ]
-  @@ fun () ->
-  let results, stats =
-    Pool.map_stats_batched ?jobs ?batch_size
-      ~key:(fun (e : Exploit.t) -> e.Exploit.name)
-      (fun exploit (ctx : Pool.ctx) ->
-        let r = evaluate ?config exploit in
-        tally_result ctx r;
-        r)
-      (Array.of_list exploits)
-  in
-  (Array.to_list results, stats)
-
-let sweep ?config ?jobs ?batch_size exploits =
-  fst (sweep_stats ?config ?jobs ?batch_size exploits)
-
 (* Remote task kind: the wire carries the exploit's name and a
    marshalled config; the worker re-looks the exploit up in its own
    registry (Exploit.t holds a build closure, which can't cross the
@@ -112,13 +87,18 @@ let register_remote () =
       tally_result ctx r;
       Marshal.to_string (r.insecure, r.under_protection) [])
 
-(* Supervised variant: a crashing or wedged exploit evaluation is
-   classified and reported instead of killing the sweep; its stats are
-   discarded wholesale, so the [sweep.*] counters only count completed
-   evaluations (plus the [pool.*] fault counters the supervisor adds).
-   With workers configured ([--workers]/[--worker]) the sweep runs in
-   worker processes instead of domains — same results, but a wedged
-   evaluation can also be killed at the heartbeat deadline. *)
+(* The 800+ exploits shard trivially: each evaluation builds its own two
+   guest programs and monitors.  Workers tally outcome counters and an
+   instruction-count histogram into per-task stats that Pool.sweep
+   merges in ascending exploit order, so the sweep is bit-identical at
+   any job count and batch size (modulo the [pool.chunks] dispatch
+   counter).  A crashing or wedged evaluation is classified and reported
+   instead of killing the sweep; its stats are discarded wholesale, so
+   the [sweep.*] counters only count completed evaluations (plus the
+   [pool.*] fault counters the supervisor adds).  With workers
+   configured ([--workers]/[--worker]) the sweep runs in worker
+   processes instead of domains — same results, but a wedged evaluation
+   can also be killed at the heartbeat deadline. *)
 let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout exploits =
   Trace.with_span ~stage:"sweep"
     [ ("kind", "security"); ("tasks", string_of_int (List.length exploits)) ]
@@ -152,7 +132,7 @@ let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout expl
   end
   else
     let results, stats, report =
-      Pool.map_stats_supervised_batched ?jobs ?batch_size ?retries ?task_timeout
+      Pool.sweep ?jobs ?batch_size ?retries ?task_timeout
         ~key:(fun (e : Exploit.t) -> e.Exploit.name)
         (fun exploit (ctx : Pool.ctx) ->
           Pool.check_deadline ();

@@ -9,41 +9,23 @@ type result = {
 
 val evaluate : ?config:Runner.config -> Chex86_exploits.Exploit.t -> result
 
-(** Evaluate every exploit, sharded over the domain pool in batched
-    chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to the
-    process-wide knob / auto-sizing); results are in input order and
-    bit-identical at any job count and batch size. *)
-val sweep :
-  ?config:Runner.config ->
-  ?jobs:int ->
-  ?batch_size:int ->
-  Chex86_exploits.Exploit.t list ->
-  result list
-
-(** [sweep], plus sweep-level stats (outcome counters under [sweep.*],
-    a [sweep.protected_macro_insns] histogram) accumulated chunk-privately
-    and merged deterministically in exploit order. The merged counters
-    also carry [pool.chunks] — the dispatch rounds paid, the one counter
-    that varies with the batch geometry. *)
-val sweep_stats :
-  ?config:Runner.config ->
-  ?jobs:int ->
-  ?batch_size:int ->
-  Chex86_exploits.Exploit.t list ->
-  result list * Pool.merged_stats
-
 (** Register the ["security"] remote task kind (exploit lookup by name,
     config via a marshalled arg) so sweeps can run in worker processes;
     called by the worker binary at startup and by the supervisor before
     routing. Idempotent. *)
 val register_remote : unit -> unit
 
-(** [sweep_stats] with per-task supervision (see
-    {!Pool.map_stats_supervised_batched}): a crashing or wedged
-    evaluation yields an [Error fault] slot instead of killing the sweep
-    (its chunk-mates still complete), and the [sweep.*] counters only
-    count completed evaluations. Result slots are in input order, each
-    paired with its exploit. When workers are configured
+(** Evaluate every exploit, sharded over the domain pool by
+    {!Pool.sweep} ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to
+    the process-wide knob / auto-sizing). Result slots are in input
+    order, each paired with its exploit, and bit-identical at any job
+    count and batch size. The merged stats carry outcome counters under
+    [sweep.*] and a [sweep.protected_macro_insns] histogram, plus the
+    [pool.*] counters ([pool.chunks] is the one that varies with the
+    batch geometry). A crashing or wedged evaluation yields an
+    [Error fault] slot instead of killing the sweep (its chunk-mates
+    still complete), and the [sweep.*] counters only count completed
+    evaluations. When workers are configured
     ({!Remote.enabled}), the sweep is dispatched to worker processes
     instead of domains ([?jobs] is ignored there); a worker lost to a
     crash or heartbeat kill surfaces as a [Pool.Worker_lost] fault. *)

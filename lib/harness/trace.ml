@@ -305,7 +305,7 @@ let summarize_file path =
             st
         in
         let line_no = ref 0 in
-        (* A crash mid-write (a SIGKILLed worker or daemon) legitimately
+        (* A crash mid-write (a SIGKILLed worker) legitimately
            leaves a torn final line.  A failed parse is held as
            *pending*: if any further non-empty line follows, it was real
            mid-stream garbage and is promoted to an error; if it turns

@@ -113,8 +113,8 @@ val metrics_extra : (unit -> (string * Chex86_stats.Json.t) list) ref
     summary but are not errors — a killed worker legitimately loses
     its tail.  For the same reason an unparseable {e final} line (a
     write torn by a crash) is skipped and noted in the summary header
-    rather than treated as an error, so post-crash traces from
-    [chex86d] stay analyzable; garbage followed by further events is
+    rather than treated as an error, so post-crash traces stay
+    analyzable; garbage followed by further events is
     still an error. *)
 val summarize_file : string -> (string, string) result
 

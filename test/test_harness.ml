@@ -233,7 +233,17 @@ let test_ablation_victim_cache_helps () =
 
 let test_security_summary () =
   (* Full sweep: every exploit of all three suites blocked. *)
-  let results = Chex86_harness.Security.sweep Chex86_exploits.Exploits.all in
+  let slots, _, _ =
+    Chex86_harness.Security.sweep_stats_supervised Chex86_exploits.Exploits.all
+  in
+  let results =
+    List.map
+      (fun (_, r) ->
+        match r with
+        | Ok r -> r
+        | Error f -> Alcotest.fail (Chex86_harness.Pool.fault_to_string f))
+      slots
+  in
   List.iter
     (fun suite ->
       let s = Chex86_harness.Security.summarize suite results in

@@ -207,13 +207,21 @@ let drop_chunks counters =
 let test_security_sweep_determinism () =
   let subset = List.filteri (fun i _ -> i mod 19 = 0) Chex86_exploits.Exploits.all in
   Alcotest.(check bool) "subset is representative" true (List.length subset >= 40);
-  let serial, sstats = Security.sweep_stats ~jobs:1 ~batch_size:1 subset in
+  let sweep ~jobs ~batch_size =
+    let slots, stats, _ = Security.sweep_stats_supervised ~jobs ~batch_size subset in
+    ( List.map
+        (fun (_, r) ->
+          match r with Ok r -> r | Error f -> Alcotest.fail (Pool.fault_to_string f))
+        slots,
+      stats )
+  in
+  let serial, sstats = sweep ~jobs:1 ~batch_size:1 in
   Alcotest.(check int) "every exploit in the subset blocked"
     (List.length subset)
     (Counter.get sstats.Pool.counters "sweep.blocked");
   List.iter
     (fun batch ->
-      let parallel, pstats = Security.sweep_stats ~jobs:4 ~batch_size:batch subset in
+      let parallel, pstats = sweep ~jobs:4 ~batch_size:batch in
       let label what =
         Printf.sprintf "batch=%d: %s" batch what
       in
@@ -239,7 +247,7 @@ let test_security_sweep_determinism () =
         (Counter.get pstats.Pool.counters "pool.chunks"))
     [ 1; 8; 32 ]
 
-(* Pool.map_stats: per-task RNG streams are seeded from the task key, so
+(* Pool.sweep: per-task RNG streams are seeded from the task key, so
    neither task results nor merged stats may depend on the job count. *)
 let test_pool_ctx_determinism () =
   let tasks = Array.init 32 (fun i -> Printf.sprintf "task-%02d" i) in
@@ -253,13 +261,14 @@ let test_pool_ctx_determinism () =
       draws;
     draws
   in
-  let serial, sstats = Pool.map_stats ~jobs:1 ~key:Fun.id body tasks in
-  let parallel, pstats = Pool.map_stats ~jobs:4 ~key:Fun.id body tasks in
+  let serial, sstats, _ = Pool.sweep ~jobs:1 ~key:Fun.id body tasks in
+  let parallel, pstats, _ = Pool.sweep ~jobs:4 ~key:Fun.id body tasks in
+  Alcotest.(check bool) "every task completed" true (Array.for_all Result.is_ok serial);
   Alcotest.(check bool) "identical per-task RNG draws" true (serial = parallel);
   Alcotest.(check (list (pair string int)))
     "identical merged counters"
-    (Counter.to_list sstats.Pool.counters)
-    (Counter.to_list pstats.Pool.counters);
+    (drop_chunks (Counter.to_list sstats.Pool.counters))
+    (drop_chunks (Counter.to_list pstats.Pool.counters));
   Alcotest.(check bool) "identical merged histograms" true
     (List.for_all2
        (fun (na, ha) (nb, hb) -> na = nb && hist_equal ha hb)
@@ -286,13 +295,13 @@ let batched_body key (ctx : Pool.ctx) =
    and merged histograms. *)
 let qcheck_batched_geometry_immaterial =
   let tasks = Array.init 37 (fun i -> Printf.sprintf "task-%02d" i) in
-  let serial, sstats = Pool.map_stats_batched ~jobs:1 ~batch_size:1 ~key:Fun.id batched_body tasks in
+  let serial, sstats, _ = Pool.sweep ~jobs:1 ~batch_size:1 ~key:Fun.id batched_body tasks in
   QCheck.Test.make ~count:30
-    ~name:"map_stats_batched: any (jobs, batch_size) = serial"
+    ~name:"sweep: any (jobs, batch_size) = serial"
     QCheck.(pair (int_range 1 6) (int_range 1 48))
     (fun (jobs, batch) ->
-      let parallel, pstats =
-        Pool.map_stats_batched ~jobs ~batch_size:batch ~key:Fun.id batched_body tasks
+      let parallel, pstats, _ =
+        Pool.sweep ~jobs ~batch_size:batch ~key:Fun.id batched_body tasks
       in
       serial = parallel
       && drop_chunks (Counter.to_list sstats.Pool.counters)
@@ -301,29 +310,6 @@ let qcheck_batched_geometry_immaterial =
            (fun (na, ha) (nb, hb) -> na = nb && hist_equal ha hb)
            sstats.Pool.histograms pstats.Pool.histograms
       && Counter.get pstats.Pool.counters "pool.chunks" = (37 + batch - 1) / batch)
-
-(* map_batched agrees with map (values only, no stats plumbing), and a
-   mid-chunk exception still reports the lowest-index failure. *)
-let test_map_batched_basics () =
-  let tasks = Array.init 100 (fun i -> i) in
-  List.iter
-    (fun batch ->
-      let got = Pool.map_batched ~jobs:4 ~batch_size:batch (fun i -> 3 * i) tasks in
-      Alcotest.(check bool)
-        (Printf.sprintf "batch=%d order preserved" batch)
-        true
-        (got = Array.init 100 (fun i -> 3 * i)))
-    [ 1; 7; 64; 200 ];
-  let exn =
-    try
-      ignore
-        (Pool.map_batched ~jobs:4 ~batch_size:16
-           (fun i -> if i >= 40 then failwith (string_of_int i) else i)
-           tasks);
-      None
-    with Failure msg -> Some msg
-  in
-  Alcotest.(check (option string)) "lowest-index failure reported" (Some "40") exn
 
 (* Auto batch sizing: about four chunks per worker, clamped to [1, 64];
    fewer dispatch rounds as the batch grows. *)
@@ -334,7 +320,7 @@ let test_auto_batch_size () =
   Alcotest.(check int) "clamped above" 64 (Pool.auto_batch_size ~jobs:1 100_000);
   let chunks_at batch =
     let tasks = Array.init 64 (fun i -> Printf.sprintf "t%02d" i) in
-    let _, stats = Pool.map_stats_batched ~jobs:2 ~batch_size:batch ~key:Fun.id batched_body tasks in
+    let _, stats, _ = Pool.sweep ~jobs:2 ~batch_size:batch ~key:Fun.id batched_body tasks in
     Counter.get stats.Pool.counters "pool.chunks"
   in
   Alcotest.(check int) "batch=1 pays one chunk per task" 64 (chunks_at 1);
@@ -634,7 +620,6 @@ let () =
         ] );
       ( "batched",
         [
-          Alcotest.test_case "map_batched basics" `Quick test_map_batched_basics;
           Alcotest.test_case "auto batch sizing" `Quick test_auto_batch_size;
           QCheck_alcotest.to_alcotest qcheck_batched_geometry_immaterial;
         ] );

@@ -1,5 +1,5 @@
-(* Tests for the v2 content-addressed result store: sharded layout, v1
-   read-through + migration, race-lost-is-a-hit publish, eviction with
+(* Tests for the v2 content-addressed result store: sharded layout,
+   legacy v1 entries never served, race-lost-is-a-hit publish, eviction with
    pinning, quarantine, ENOSPC degradation, fsck, fault-point / env
    validation, the Remote backoff cap, and the multi-process writer
    hammer. *)
@@ -55,19 +55,22 @@ let dummy_run i : Runner.run =
 let run_fields (r : Runner.run) =
   (r.Runner.outcome, r.Runner.macro_insns, r.Runner.uops, r.Runner.cycles)
 
-let paths_exn ~key =
-  match Store.entry_paths ~key ~digest:"test" with
+let path_exn ?(digest = "test") key =
+  match Store.entry_path ~key ~digest with
   | Some p -> p
   | None -> Alcotest.fail "store not configured"
+
+(* Where a pre-sharding v1 store kept the same entry: the store root. *)
+let flat_path entry = Filename.concat store_dir (Filename.basename entry)
 
 (* --- layout ---------------------------------------------------------------- *)
 
 let test_sharded_layout () =
   with_store (fun () ->
       Store.save ~key:"alpha" ~digest:"test" (dummy_run 1);
-      let v1, v2 = paths_exn ~key:"alpha" in
+      let v2 = path_exn "alpha" in
       Alcotest.(check bool) "entry lives in objects/<shard>/" true (Sys.file_exists v2);
-      Alcotest.(check bool) "no flat v1 entry" false (Sys.file_exists v1);
+      Alcotest.(check bool) "no flat v1 entry" false (Sys.file_exists (flat_path v2));
       let shard = Filename.basename (Filename.dirname v2) in
       Alcotest.(check int) "shard is two hex chars" 2 (String.length shard);
       (match Store.load ~key:"alpha" ~digest:"test" with
@@ -77,33 +80,40 @@ let test_sharded_layout () =
       Alcotest.(check int) "one write" 1 s.Store.writes;
       Alcotest.(check int) "one hit" 1 s.Store.hits)
 
-let test_v1_read_through_and_migration () =
+let test_legacy_v1_entry_is_a_miss () =
   with_store (fun () ->
-      (* Hand-build a legacy v1 entry at the flat path. *)
-      let v1, v2 = paths_exn ~key:"legacy" in
+      (* Hand-build a pre-sharding v1 entry at the flat root path of a
+         real job.  v1 entries predate later timing fixes, so serving
+         one would hand out stale cycles. *)
+      let w = Chex86_workloads.Workloads.find "swaptions" in
+      let key =
+        Runner.job_key (Runner.job ~tag:"legacy" ~timing:false ~scale:1 Runner.insecure w)
+      in
+      let digest = Runner.program_digest (w.build ~scale:1) in
+      let v1 = flat_path (path_exn ~digest key) in
       Unix.mkdir store_dir 0o755;
-      let payload = Marshal.to_string (dummy_run 7 : Runner.run) [] in
+      let stale = dummy_run 7 in
+      let payload = Marshal.to_string (stale : Runner.run) [] in
       let oc = open_out_bin v1 in
       Printf.fprintf oc "chex86-store-v1\n%s\n%s"
         (Digest.to_hex (Digest.string payload))
         payload;
       close_out oc;
-      (match Store.load ~key:"legacy" ~digest:"test" with
-      | Some r ->
-        Alcotest.(check bool) "v1 entry served" true (run_fields r = run_fields (dummy_run 7))
-      | None -> Alcotest.fail "expected a v1 read-through hit");
-      Alcotest.(check bool) "migrated into objects/" true (Sys.file_exists v2);
-      Alcotest.(check bool) "flat v1 entry drained" false (Sys.file_exists v1);
+      let r = Runner.run_workload ~tag:"legacy" ~timing:false ~scale:1 Runner.insecure w in
+      Alcotest.(check bool) "stale v1 payload not served" false
+        (run_fields r = run_fields stale);
       let s = Store.stats () in
-      Alcotest.(check int) "migration counted" 1 s.Store.migrated;
-      Alcotest.(check int) "served as a hit" 1 s.Store.hits;
-      (* The migrated entry is a first-class v2 entry. *)
-      Runner.reset_for_tests ();
-      (match Store.load ~key:"legacy" ~digest:"test" with
-      | Some _ -> ()
-      | None -> Alcotest.fail "migrated entry must hit");
+      Alcotest.(check int) "a miss" 1 s.Store.misses;
+      Alcotest.(check int) "never a hit" 0 s.Store.hits;
+      Alcotest.(check int) "re-simulated and published" 1 s.Store.writes;
+      (* fsck quarantines the leftover; a second pass comes back clean. *)
       let r = Store.fsck ~dir:store_dir in
-      Alcotest.(check bool) "fsck clean after migration" true (Store.fsck_clean r))
+      Alcotest.(check (list string)) "flagged as legacy" [ "legacy v1 entry" ]
+        (List.map (fun i -> i.Store.f_problem) r.Store.f_issues);
+      Alcotest.(check int) "quarantined" 1 r.Store.f_quarantined;
+      Alcotest.(check bool) "gone from the root" false (Sys.file_exists v1);
+      Alcotest.(check bool) "second fsck clean" true
+        (Store.fsck_clean (Store.fsck ~dir:store_dir)))
 
 let test_lost_race_is_a_hit () =
   with_store (fun () ->
@@ -131,7 +141,7 @@ let test_eviction_respects_budget_and_pins () =
       (* Age the entries oldest-first in list order. *)
       List.iteri
         (fun i key ->
-          let _, v2 = paths_exn ~key in
+          let v2 = path_exn key in
           let t = Unix.time () -. 1000. +. (10. *. float_of_int i) in
           Unix.utimes v2 t t)
         keys;
@@ -148,7 +158,7 @@ let test_eviction_respects_budget_and_pins () =
       Alcotest.(check bool) "evicted down to budget" true (r.Store.g_bytes <= budget);
       Alcotest.(check int) "three oldest evicted" 3 r.Store.g_evicted;
       let survives key =
-        let _, v2 = paths_exn ~key in
+        let v2 = path_exn key in
         Sys.file_exists v2
       in
       Alcotest.(check bool) "oldest gone" false (survives "ev-a");
@@ -169,7 +179,7 @@ let test_save_evicts_when_over_budget () =
          run without disturbing the sweep's own entries. *)
       List.iter
         (fun key ->
-          let _, v2 = paths_exn ~key in
+          let v2 = path_exn key in
           Alcotest.(check bool) (key ^ " still present") true (Sys.file_exists v2))
         [ "first"; "ev2-b"; "ev2-c"; "ev2-d" ];
       (* A later process with no pins gets the store back under budget. *)
@@ -183,7 +193,7 @@ let test_save_evicts_when_over_budget () =
 let test_corrupt_entry_quarantined () =
   with_store (fun () ->
       Store.save ~key:"corrupt" ~digest:"test" (dummy_run 3);
-      let _, v2 = paths_exn ~key:"corrupt" in
+      let v2 = path_exn "corrupt" in
       Unix.truncate v2 21;
       Alcotest.(check bool) "torn entry is a miss" true
         (Store.load ~key:"corrupt" ~digest:"test" = None);
@@ -218,13 +228,13 @@ let test_enospc_degrades_to_memo_only () =
         (Option.is_some (Store.load ~key:"before" ~digest:"test"));
       Faultinject.disarm_points ();
       Store.save ~key:"still-degraded" ~digest:"test" (dummy_run 4);
-      let _, v2 = paths_exn ~key:"still-degraded" in
+      let v2 = path_exn "still-degraded" in
       Alcotest.(check bool) "degradation latches for the process" false
         (Sys.file_exists v2);
       (* Reconfiguring (a new sweep) resets the latch. *)
       Store.configure ~dir:store_dir;
       Store.save ~key:"recovered" ~digest:"test" (dummy_run 5);
-      let _, v2 = paths_exn ~key:"recovered" in
+      let v2 = path_exn "recovered" in
       Alcotest.(check bool) "writes recover after reconfigure" true
         (Sys.file_exists v2))
 
@@ -240,9 +250,9 @@ let test_fsck_flags_and_heals_violations () =
       Alcotest.(check int) "all entries scanned" 3 r.Store.f_scanned;
       (* Violation 1: corrupt entry.  Violation 2: entry moved to the
          wrong shard.  Violation 3: foreign file in the store root. *)
-      let _, va = paths_exn ~key:"fsck-a" in
+      let va = path_exn "fsck-a" in
       Unix.truncate va 19;
-      let _, vb = paths_exn ~key:"fsck-b" in
+      let vb = path_exn "fsck-b" in
       let actual_shard = Filename.basename (Filename.dirname vb) in
       let other = if actual_shard = "00" then "11" else "00" in
       let wrong_shard = Filename.concat (Filename.concat store_dir "objects") other in
@@ -266,7 +276,7 @@ let test_fsck_flags_and_heals_violations () =
 let test_fsck_reclaims_stale_tmp_only () =
   with_store (fun () ->
       Store.save ~key:"tmp-anchor" ~digest:"test" (dummy_run 1);
-      let _, v2 = paths_exn ~key:"tmp-anchor" in
+      let v2 = path_exn "tmp-anchor" in
       let shard_dir = Filename.dirname v2 in
       let dead_pid =
         let pid =
@@ -331,6 +341,8 @@ let test_env_validation_fails_loudly () =
   check_env_error
     [ ("CHEX86_FAULT_POINT", "store.publish.pre_rename=torn:x") ]
     "torn:x";
+  (* No daemon.* points are compiled in. *)
+  check_env_error [ ("CHEX86_FAULT_POINT", "daemon.accept=kill") ] "\"daemon.accept\"";
   with_env [ ("CHEX86_FAULT_RATE", "0.25"); ("CHEX86_FAULT_SEED", "7") ] (fun () ->
       match Faultinject.arm_from_env () with
       | Ok true -> ()
@@ -478,8 +490,8 @@ let () =
       ( "layout",
         [
           Alcotest.test_case "sharded v2 layout" `Quick test_sharded_layout;
-          Alcotest.test_case "v1 read-through + migration" `Quick
-            test_v1_read_through_and_migration;
+          Alcotest.test_case "legacy v1 entry is a miss" `Quick
+            test_legacy_v1_entry_is_a_miss;
           Alcotest.test_case "lost race is a hit" `Quick test_lost_race_is_a_hit;
         ] );
       ( "eviction",

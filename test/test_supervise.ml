@@ -33,7 +33,7 @@ let key_of = string_of_int
 (* --- supervision basics --------------------------------------------------- *)
 
 let test_all_ok () =
-  let results, report = Pool.map_supervised ~jobs:3 ~key:key_of (fun x -> x * x) tasks_10 in
+  let results, _, report = Pool.sweep ~jobs:3 ~key:key_of (fun x _ -> x * x) tasks_10 in
   Array.iteri
     (fun i r -> Alcotest.(check (result int reject)) "squared" (Ok (i * i)) r)
     results;
@@ -45,9 +45,9 @@ let test_all_ok () =
 let test_real_crash_contained () =
   (* A genuine task exception (not injected) is classified with its
      backtrace, and every healthy task still returns. *)
-  let results, report =
-    Pool.map_supervised ~jobs:4 ~key:key_of
-      (fun x -> if x = 6 then failwith "boom" else x + 1)
+  let results, _, report =
+    Pool.sweep ~jobs:4 ~key:key_of
+      (fun x _ -> if x = 6 then failwith "boom" else x + 1)
       tasks_10
   in
   Array.iteri
@@ -75,10 +75,10 @@ let test_injected_faults_match_plan () =
         ("8", Faultinject.slow 0.3);
       ]
   in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:4 ~task_timeout:0.05 ~key:key_of
-          (fun x ->
+        Pool.sweep ~jobs:4 ~task_timeout:0.05 ~key:key_of
+          (fun x _ ->
             Pool.check_deadline ();
             x * 10)
           tasks_10)
@@ -115,9 +115,9 @@ let test_retry_recovers_bit_identical () =
         ("9", Faultinject.crash ~attempts:1 ());
       ]
   in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:3 ~retries:1 ~key:key_of f tasks_10)
+        Pool.sweep ~jobs:3 ~retries:1 ~key:key_of (fun x _ -> f x) tasks_10)
   in
   Array.iteri
     (fun i r ->
@@ -132,9 +132,9 @@ let test_exhausted_retries_fault () =
   (* A crash directive outlasting the retry budget still faults, with
      the attempt count recorded. *)
   let plan = Faultinject.of_list [ ("3", Faultinject.crash ~attempts:5 ()) ] in
-  let _, report =
+  let _, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:2 ~retries:2 ~key:key_of (fun x -> x) tasks_10)
+        Pool.sweep ~jobs:2 ~retries:2 ~key:key_of (fun x _ -> x) tasks_10)
   in
   Alcotest.(check int) "crashed" 1 report.Pool.crashed;
   Alcotest.(check int) "retries spent" 2 report.Pool.retries_used;
@@ -151,8 +151,8 @@ let test_supervised_jobs_invariance () =
   in
   let run jobs =
     with_plan plan (fun () ->
-        let results, report =
-          Pool.map_supervised ~jobs ~retries:1 ~key:key_of (fun x -> x * 2) tasks_10
+        let results, _, report =
+          Pool.sweep ~jobs ~retries:1 ~key:key_of (fun x _ -> x * 2) tasks_10
         in
         (Array.map (Result.map_error fault_shape) results, report_shape report))
   in
@@ -198,7 +198,7 @@ let test_stats_discard_faulted () =
     x
   in
   let results, stats, report =
-    Pool.map_stats_supervised ~jobs:3 ~key:key_of body tasks_10
+    Pool.sweep ~jobs:3 ~key:key_of body tasks_10
   in
   Alcotest.(check int) "one crash" 1 report.Pool.crashed;
   (match results.(4) with
@@ -213,15 +213,24 @@ let test_stats_discard_faulted () =
   Alcotest.(check int) "pool.crashed" 1 (Counter.get stats.Pool.counters "pool.crashed")
 
 let test_stats_supervised_matches_plain_when_healthy () =
-  (* With no plan armed, the supervised merge equals map_stats' merge
-     plus the pool.* counters. *)
+  (* With no plan armed, the supervised merge equals a plain serial fold
+     of per-task contexts, plus the pool.* counters. *)
   let body x (ctx : Pool.ctx) =
     Counter.incr ~by:x ctx.Pool.counters "t.sum";
     Chex86_stats.Histogram.add (ctx.Pool.histogram "t.h") x;
     x
   in
-  let _, plain = Pool.map_stats ~jobs:2 ~key:key_of body tasks_10 in
-  let _, supervised, _ = Pool.map_stats_supervised ~jobs:2 ~key:key_of body tasks_10 in
+  let plain =
+    Pool.merge_snapshots
+      (Array.to_list
+         (Array.map
+            (fun x ->
+              let ctx, snapshots = Pool.make_ctx (key_of x) in
+              ignore (body x ctx);
+              snapshots ())
+            tasks_10))
+  in
+  let _, supervised, _ = Pool.sweep ~jobs:2 ~key:key_of body tasks_10 in
   Alcotest.(check int) "t.sum equal" (Counter.get plain.Pool.counters "t.sum")
     (Counter.get supervised.Pool.counters "t.sum");
   let h stats =
@@ -243,10 +252,10 @@ let test_batched_mid_chunk_crash_isolated () =
      chunk). Exactly that task faults — its chunk-mates 5,6,8,9 and the
      whole first chunk complete, and the report is keyed per task. *)
   let plan = Faultinject.of_list [ ("7", Faultinject.crash ()) ] in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised_batched ~jobs:2 ~batch_size:5 ~key:key_of
-          (fun x -> x * 11)
+        Pool.sweep ~jobs:2 ~batch_size:5 ~key:key_of
+          (fun x _ -> x * 11)
           tasks_10)
   in
   Array.iteri
@@ -268,7 +277,7 @@ let test_batched_mid_chunk_crash_isolated () =
 
 let test_batched_supervised_matches_unbatched () =
   (* Same plan at several batch sizes: results, merged stats (minus
-     pool.chunks) and the report all equal the unbatched supervised run;
+     pool.chunks) and the report all equal the serial unbatched run;
      retries re-seed per task exactly as before. *)
   let plan =
     Faultinject.of_list
@@ -289,15 +298,14 @@ let test_batched_supervised_matches_unbatched () =
   in
   let unbatched =
     with_plan plan (fun () ->
-        shape (Pool.map_stats_supervised ~jobs:3 ~retries:1 ~key:key_of body tasks_10))
+        shape (Pool.sweep ~jobs:1 ~batch_size:1 ~retries:1 ~key:key_of body tasks_10))
   in
   List.iter
     (fun batch ->
       let batched =
         with_plan plan (fun () ->
             shape
-              (Pool.map_stats_supervised_batched ~jobs:3 ~batch_size:batch ~retries:1
-                 ~key:key_of body tasks_10))
+              (Pool.sweep ~jobs:3 ~batch_size:batch ~retries:1 ~key:key_of body tasks_10))
       in
       Alcotest.(check bool)
         (Printf.sprintf "batch=%d matches unbatched" batch)
@@ -346,8 +354,7 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-(* Published entries anywhere in the v2 tree (root for legacy v1,
-   objects/<shard>/ for v2), as full paths. *)
+(* Published entries anywhere in the store tree, as full paths. *)
 let store_entries () =
   let acc = ref [] in
   let scan dir =
@@ -524,9 +531,9 @@ let test_sliced_slow_respects_deadline () =
      out promptly instead of holding its domain for the whole stall. *)
   let plan = Faultinject.of_list [ ("0", Faultinject.slow 30.) ] in
   let t0 = Pool.now () in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:1 ~task_timeout:0.2 ~key:key_of (fun x -> x) [| 0 |])
+        Pool.sweep ~jobs:1 ~task_timeout:0.2 ~key:key_of (fun x _ -> x) [| 0 |])
   in
   let elapsed = Pool.now () -. t0 in
   Alcotest.(check bool) "timed out promptly, not after the 30s stall" true

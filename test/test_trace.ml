@@ -11,6 +11,7 @@
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
+module Runner = Chex86_harness.Runner
 module Trace = Chex86_harness.Trace
 module Faultinject = Chex86_harness.Faultinject
 module Counter = Chex86_stats.Counter
@@ -25,7 +26,7 @@ let selftest_fn =
 let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 
 let sweep ?retries ~jobs ~batch_size tasks =
-  Pool.map_stats_supervised_batched ~jobs ~batch_size ?retries ~key:Fun.id
+  Pool.sweep ~jobs ~batch_size ?retries ~key:Fun.id
     (fun key ctx -> selftest_fn ~key ~arg:"8" ctx)
     tasks
 
@@ -288,7 +289,9 @@ let test_worker_span_stitching () =
 
 (* --- metrics export --------------------------------------------------------- *)
 
-let test_metrics_export () =
+(* Run [f] with --metrics pointed at a fresh file; return its result and
+   the parsed metrics document written afterwards. *)
+let with_metrics f =
   let path = Filename.temp_file "chex86_metrics" ".json" in
   Fun.protect
     ~finally:(fun () ->
@@ -298,33 +301,51 @@ let test_metrics_export () =
     (fun () ->
       Trace.reset_metrics_for_tests ();
       Trace.set_metrics (Some path);
-      let tasks = tasks_n 6 in
-      let _, stats, _ = sweep ~jobs:2 ~batch_size:2 tasks in
+      let result = f () in
       Trace.write_metrics ();
-      let body = String.concat "\n" (read_lines path) in
-      match Json.of_string body with
+      match Json.of_string (String.concat "\n" (read_lines path)) with
       | Error msg -> Alcotest.failf "metrics file unparseable: %s" msg
-      | Ok v ->
-        let counter name =
-          Option.bind (Json.member "counters" v) (Json.member name)
-          |> Fun.flip Option.bind Json.to_int_opt
-        in
-        Alcotest.(check (option int))
-          "selftest.runs matches merged stats"
-          (Some (Counter.get stats.Pool.counters "selftest.runs"))
-          (counter "selftest.runs");
-        Alcotest.(check (option int))
-          "pool.tasks exported" (Some 6) (counter "pool.tasks");
-        let draws_n =
-          Option.bind (Json.member "histograms" v) (Json.member "selftest.draws")
-          |> Fun.flip Option.bind (Json.member "n")
-          |> Fun.flip Option.bind Json.to_int_opt
-        in
-        Alcotest.(check (option int))
-          "histogram mass matches merged stats"
-          (Some
-             (Histogram.count (List.assoc "selftest.draws" stats.Pool.histograms)))
-          draws_n)
+      | Ok v -> (result, v))
+
+let metrics_counter v name =
+  Option.bind (Json.member "counters" v) (Json.member name)
+  |> Fun.flip Option.bind Json.to_int_opt
+
+let test_metrics_export () =
+  let (_, stats, _), v = with_metrics (fun () -> sweep ~jobs:2 ~batch_size:2 (tasks_n 6)) in
+  Alcotest.(check (option int))
+    "selftest.runs matches merged stats"
+    (Some (Counter.get stats.Pool.counters "selftest.runs"))
+    (metrics_counter v "selftest.runs");
+  Alcotest.(check (option int))
+    "pool.tasks exported" (Some 6) (metrics_counter v "pool.tasks");
+  let draws_n =
+    Option.bind (Json.member "histograms" v) (Json.member "selftest.draws")
+    |> Fun.flip Option.bind (Json.member "n")
+    |> Fun.flip Option.bind Json.to_int_opt
+  in
+  Alcotest.(check (option int))
+    "histogram mass matches merged stats"
+    (Some (Histogram.count (List.assoc "selftest.draws" stats.Pool.histograms)))
+    draws_n
+
+(* Figure sweeps publish their pool.* counters to --metrics just like the
+   security sweep does: the prefetcher's in-process path is Pool.sweep. *)
+let test_prefetch_metrics_export () =
+  let swaptions = Chex86_workloads.Workloads.find "swaptions" in
+  let jobs =
+    List.map
+      (fun tag -> Runner.job ~tag ~timing:false ~scale:1 Runner.insecure swaptions)
+      [ "metrics-a"; "metrics-b"; "metrics-c" ]
+  in
+  Runner.reset_for_tests ();
+  let report, v =
+    Fun.protect ~finally:Runner.reset_for_tests (fun () ->
+        with_metrics (fun () -> Runner.prefetch_supervised ~jobs:2 jobs))
+  in
+  Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
+  Alcotest.(check (option int))
+    "pool.tasks exported" (Some 3) (metrics_counter v "pool.tasks")
 
 let () =
   Alcotest.run "trace"
@@ -346,5 +367,9 @@ let () =
           Alcotest.test_case "worker span stitching" `Quick test_worker_span_stitching;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "export" `Quick test_metrics_export ] );
+        [
+          Alcotest.test_case "export" `Quick test_metrics_export;
+          Alcotest.test_case "prefetch exports pool counters" `Quick
+            test_prefetch_metrics_export;
+        ] );
     ]
