@@ -45,22 +45,16 @@ fault-smoke: build
 		dune exec bench/main.exe -- --jobs 2 --no-cache --strict figure6 \
 		> /dev/null
 
-# Distributed dispatch sanity, three legs:
-#  1. spawn mode: the full security sweep sharded over 2 worker
-#     processes must block every exploit (exit 0);
-#  2. spawn mode under injected worker kills: workers SIGKILL
-#     themselves mid-chunk, the supervisor respawns and re-dispatches,
-#     and the sweep still completes;
-#  3. TCP loopback: two `--listen` workers driven as --worker peers.
+# Distributed dispatch sanity, two legs:
+#  1. the full security sweep sharded over 2 spawned worker processes
+#     must block every exploit (exit 0);
+#  2. the same under injected worker kills: workers SIGKILL themselves
+#     mid-chunk, the supervisor respawns them and re-sends the owed
+#     tasks, and the sweep still completes.
 remote-smoke: build
 	./_build/default/bin/security_eval.exe --workers 2 --no-cache
 	CHEX86_FAULT_RATE=0.003 CHEX86_FAULT_SEED=7 CHEX86_FAULT_KIND=kill \
 		./_build/default/bin/security_eval.exe --workers 2 --no-cache
-	./_build/default/bin/chex86_worker.exe --listen 7641 & W1=$$!; \
-	./_build/default/bin/chex86_worker.exe --listen 7642 & W2=$$!; \
-	trap 'kill $$W1 $$W2 2>/dev/null' EXIT; sleep 1; \
-	./_build/default/bin/security_eval.exe \
-		--worker 127.0.0.1:7641 --worker 127.0.0.1:7642 --no-cache
 
 # Telemetry sanity: a traced + metered security sweep over 2 worker
 # processes must (1) leave a trace the trace-summary validator accepts

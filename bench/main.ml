@@ -392,11 +392,6 @@ let () =
     Printf.printf "[domain pool: %d job(s)]\n%!" (Pool.jobs ())
   | Chex86_harness.Remote.Spawn n ->
     Printf.printf "[worker processes: %d spawned, heartbeat %.0fs]\n%!" n
-      (Chex86_harness.Remote.heartbeat ())
-  | Chex86_harness.Remote.Peers peers ->
-    Printf.printf "[worker peers: %s, heartbeat %.0fs]\n%!"
-      (String.concat ", "
-         (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) peers))
       (Chex86_harness.Remote.heartbeat ()));
   List.iter
     (fun name ->

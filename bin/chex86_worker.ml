@@ -1,8 +1,10 @@
-(* Remote sweep worker: one process per worker slot, driven by the
-   supervisor in Chex86_harness.Remote over stdio (socketpair) or TCP.
+(* Remote sweep worker: one process per worker slot, spawned by the
+   supervisor in Chex86_harness.Remote and driven over its stdio (one
+   end of a socketpair).
 
-   In --stdio mode stdout IS the frame channel, so nothing here may
-   print to it; diagnostics go to stderr. *)
+   Stdout IS the frame channel, so nothing here may print to it;
+   diagnostics go to stderr.  Trace spans are collected and piggybacked
+   on Chunk_done whenever the supervisor's request asks for them. *)
 
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -20,28 +22,9 @@ let () =
   | Error msg ->
     Printf.eprintf "chex86_worker: %s\n%!" msg;
     exit 2);
-  (* --trace FILE gives this worker a local span file of its own; it
-     then opts out of shipping spans back to the supervisor (the
-     explicit file sink takes precedence over collection). Without it,
-     spans are collected and piggybacked on Chunk_done whenever the
-     supervisor's request asks for them. *)
-  let args =
-    match Array.to_list Sys.argv with
-    | exe :: "--trace" :: file :: rest when file <> "" ->
-      Chex86_harness.Trace.set_src (Printf.sprintf "w%d" (Unix.getpid ()));
-      Chex86_harness.Trace.set_output (Some file);
-      exe :: rest
-    | args -> args
-  in
-  match args with
-  | [ _; "--stdio" ] ->
+  match Sys.argv with
+  | [| _; "--stdio" |] ->
     Chex86_harness.Remote.Worker.serve ~input:Unix.stdin ~output:Unix.stdout
-  | [ _; "--listen"; port ] -> (
-    match int_of_string_opt port with
-    | Some p when p > 0 && p < 65536 -> Chex86_harness.Remote.Worker.listen ~port:p
-    | _ ->
-      Printf.eprintf "chex86_worker: invalid port %S\n%!" port;
-      exit 2)
   | _ ->
-    prerr_endline "usage: chex86_worker [--trace FILE] (--stdio | --listen PORT)";
+    prerr_endline "usage: chex86_worker --stdio";
     exit 2

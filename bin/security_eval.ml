@@ -10,9 +10,9 @@
    evaluation is reported and the rest — including the faulted task's
    chunk-mates — completes (--retries / --task-timeout bound each task;
    --strict makes any fault flip the exit code). --workers N moves the
-   sweep into N spawned worker processes (--worker HOST:PORT for TCP
-   peers): same results, but a wedged evaluation is killed at the
-   --heartbeat deadline instead of holding a domain forever. *)
+   sweep into N spawned worker processes: same results, but a wedged
+   evaluation is killed at the --heartbeat deadline instead of holding
+   a domain forever. *)
 
 module Runner = Chex86_harness.Runner
 module Security = Chex86_harness.Security
@@ -28,6 +28,15 @@ type opts = {
   matrix_seed : int;
   matrix_per_family : int;
 }
+
+(* A malformed number is a one-line error, not an uncaught [Failure]. *)
+let int_flag ?(min = min_int) flag value =
+  match int_of_string_opt value with
+  | Some n when n >= min -> n
+  | _ ->
+    Printf.eprintf "invalid %s value %S (expected an integer%s)\n" flag value
+      (if min = min_int then "" else Printf.sprintf " >= %d" min);
+    exit 1
 
 let parse_args () =
   let verbose = ref false in
@@ -51,10 +60,10 @@ let parse_args () =
       matrix_out := Some file;
       go rest
     | "--matrix-seed" :: n :: rest ->
-      matrix_seed := int_of_string n;
+      matrix_seed := int_flag "--matrix-seed" n;
       go rest
     | "--matrix-per-family" :: n :: rest ->
-      matrix_per_family := int_of_string n;
+      matrix_per_family := int_flag ~min:1 "--matrix-per-family" n;
       go rest
     | arg :: _ ->
       Printf.eprintf "unknown argument %S (%s)\n%s\n" arg usage Cli.common_flags_doc;

@@ -23,7 +23,6 @@ let common_flags_doc =
   \                      (accepts K/M/G suffixes; default: no eviction)\n\
   \  --cpu PRESET        select the \xc2\xb5arch preset (skylake, nehalem, tiny)\n\
   \  --workers N         shard sweeps over N spawned worker processes (0 = off)\n\
-  \  --worker HOST:PORT  add a TCP worker peer (repeatable; overrides --workers)\n\
   \  --heartbeat S       worker liveness deadline in seconds (default 30)\n\
   \  --trace FILE        write structured span events (JSONL) to FILE\n\
   \  --metrics FILE      dump merged sweep counters/histograms to FILE as JSON at exit"
@@ -69,16 +68,6 @@ let parse_workers value =
   | Some n when n >= 0 -> n
   | _ -> die "invalid --workers value %S (expected an integer >= 0)" value
 
-let parse_peer value =
-  match String.rindex_opt value ':' with
-  | Some i when i > 0 && i < String.length value - 1 -> (
-    let host = String.sub value 0 i in
-    let port = String.sub value (i + 1) (String.length value - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p > 0 && p < 65536 -> (host, p)
-    | _ -> die "invalid --worker port in %S (expected HOST:PORT)" value)
-  | _ -> die "invalid --worker value %S (expected HOST:PORT)" value
-
 let set_cpu value =
   match Chex86_machine.Preset.find value with
   | Some p -> Chex86_machine.Preset.set p
@@ -122,7 +111,6 @@ let set_store_max_bytes value =
 let parse_common args =
   let cache_dir = ref (Some Runner.Store.default_dir) in
   let workers = ref None in
-  let peers = ref [] in
   let rec go = function
     | [] -> []
     | ("--jobs" | "-j") :: value :: rest ->
@@ -163,10 +151,6 @@ let parse_common args =
       workers := Some (parse_workers value);
       go rest
     | "--workers" :: [] -> die "missing value for --workers"
-    | "--worker" :: value :: rest ->
-      peers := parse_peer value :: !peers;
-      go rest
-    | "--worker" :: [] -> die "missing value for --worker"
     | "--heartbeat" :: value :: rest ->
       set_heartbeat value;
       go rest
@@ -191,13 +175,10 @@ let parse_common args =
   (match !cache_dir with
   | Some dir -> Runner.Store.configure ~dir
   | None -> Runner.Store.disable ());
-  (* TCP peers beat spawned workers when both are given: an explicit
-     peer list is the more deliberate configuration. *)
-  (match (List.rev !peers, !workers) with
-  | [], None -> ()
-  | (_ :: _ as ps), _ -> Remote.set_spec (Remote.Peers ps)
-  | [], Some 0 -> Remote.set_spec Remote.Off
-  | [], Some n -> Remote.set_spec (Remote.Spawn n));
+  (match !workers with
+  | None -> ()
+  | Some 0 -> Remote.set_spec Remote.Off
+  | Some n -> Remote.set_spec (Remote.Spawn n));
   (match Faultinject.arm_from_env () with
   | Ok _ -> ()
   | Error msg -> die "%s" msg);

@@ -15,10 +15,23 @@ module Render = Chex86_stats.Render
 module Counter = Chex86_stats.Counter
 module W = Chex86_workloads.Workloads
 
+(* CHEX86_SCALE=N multiplies every workload's size (default 1).  A
+   malformed or non-positive value is fatal: falling back to 1 would
+   publish numbers for a scale nobody asked for. *)
+let parse_scale spec =
+  match int_of_string_opt (String.trim spec) with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (Printf.sprintf "CHEX86_SCALE: expected an integer >= 1, got %S" spec)
+
 let scale =
   match Sys.getenv_opt "CHEX86_SCALE" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 1)
-  | None -> 1
+  | None | Some "" -> 1
+  | Some s -> (
+    match parse_scale s with
+    | Ok n -> n
+    | Error msg ->
+      prerr_endline msg;
+      exit 2)
 
 (* CHEX86_WORKLOADS=mcf,canneal,freqmine trims every figure's sweep to
    the named workloads (smoke runs / make check); default is all 14.

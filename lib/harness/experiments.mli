@@ -6,6 +6,11 @@
 
 val scale : int
 
+(** Pure CHEX86_SCALE parsing: an integer >= 1, else an [Error] naming
+    the value. [scale] exits 2 with that message when the variable is
+    set but malformed. *)
+val parse_scale : string -> (int, string) result
+
 (** Pure CHEX86_WORKLOADS resolution: the subset of [all] named by the
     comma-separated [spec] (all of them for an empty spec). Unknown
     names warn-and-ignore by default but are an [Error] under

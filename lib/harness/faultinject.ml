@@ -1,18 +1,18 @@
 (* Deterministic fault injection for the supervised sweep engine.
 
    A [plan] decides, from a task's stable key alone, whether that task
-   crashes, stalls, or gets its on-disk result-store entry truncated.
-   Keys are the same stable identifiers the pool seeds RNG streams from
-   ([Runner.job_key], exploit names), so a plan fires on exactly the
-   same tasks at any job count, across retries, and across processes —
-   the injection is as reproducible as the sweep itself.
+   crashes or stalls, or whether its remote worker or request frame
+   fails.  Keys are the same stable identifiers the pool seeds RNG
+   streams from ([Runner.job_key], exploit names), so a plan fires on
+   exactly the same tasks at any job count, across retries, and across
+   processes — the injection is as reproducible as the sweep itself.
 
    The armed plan is consulted from two places:
    - [Pool] supervision queries [fault_for] before each task attempt
      (crashes raise [Injected_crash]; slowdowns sleep, then the pool's
      cooperative deadline check fires);
-   - [Runner.Store] queries [truncation_for] after writing a cache
-     entry, modelling a process killed mid-write / torn file.
+   - [Remote] queries [worker_kill_for] (worker side) and
+     [transport_fault_for] (supervisor side) per chunk.
 
    Arming happens once, before a sweep starts (CLI startup or a test's
    [Fun.protect]); workers only read the plan, so no locking is
@@ -23,7 +23,6 @@ exception Injected_crash of string
 type kind =
   | Crash
   | Slow of float  (* seconds *)
-  | Truncate_cache of int  (* keep only this many bytes of the entry *)
   | Kill_worker  (* the remote worker SIGKILLs itself mid-chunk *)
   | Drop_frame  (* the transport silently swallows the chunk's frame *)
   | Corrupt_frame  (* flip a payload byte after the digest is computed *)
@@ -33,7 +32,6 @@ type directive = { kind : kind; attempts : int }
 
 let crash ?(attempts = 1) () = { kind = Crash; attempts }
 let slow ?(attempts = 1) seconds = { kind = Slow seconds; attempts }
-let truncate_cache bytes = { kind = Truncate_cache bytes; attempts = 1 }
 let kill_worker ?(attempts = 1) () = { kind = Kill_worker; attempts }
 let drop_frame ?(attempts = 1) () = { kind = Drop_frame; attempts }
 let corrupt_frame ?(attempts = 1) () = { kind = Corrupt_frame; attempts }
@@ -328,11 +326,6 @@ let fault_for ~key ~attempt =
   match directive_for key with
   | Some { kind = (Crash | Slow _) as kind; attempts } when attempt < attempts ->
     Some kind
-  | _ -> None
-
-let truncation_for ~key =
-  match directive_for key with
-  | Some { kind = Truncate_cache n; _ } -> Some n
   | _ -> None
 
 (* Consulted by the remote *worker* before each task of a chunk: a

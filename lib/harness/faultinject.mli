@@ -14,9 +14,6 @@ type kind =
   | Slow of float
       (** sleep this many seconds before the task body, so a per-task
           wall budget's cooperative deadline check fires *)
-  | Truncate_cache of int
-      (** truncate the task's freshly written [Runner.Store] entry to
-          this many bytes (a torn write / killed process) *)
   | Kill_worker
       (** the remote worker SIGKILLs itself before running this task,
           modelling an OOM kill / fatal native crash mid-chunk *)
@@ -36,7 +33,6 @@ type directive = { kind : kind; attempts : int }
 
 val crash : ?attempts:int -> unit -> directive
 val slow : ?attempts:int -> float -> directive
-val truncate_cache : int -> directive
 val kill_worker : ?attempts:int -> unit -> directive
 val drop_frame : ?attempts:int -> unit -> directive
 val corrupt_frame : ?attempts:int -> unit -> directive
@@ -128,9 +124,6 @@ val directive_for : string -> directive option
 
 (** Consulted by [Pool] before each task attempt ([Crash]/[Slow] only). *)
 val fault_for : key:string -> attempt:int -> kind option
-
-(** Consulted by [Runner.Store] after writing an entry. *)
-val truncation_for : key:string -> int option
 
 (** Consulted by the remote worker before each task of a chunk: [true]
     if the armed plan says the worker should SIGKILL itself. [attempt]

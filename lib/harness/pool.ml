@@ -104,19 +104,23 @@ let seed_of_key key =
 
 let rng_of_key key = Rng.create (seed_of_key key)
 
-(* Run [compute i] for [i < n] across [jobs] workers.  Results land in a
-   slot array indexed by task, so output order is input order no matter
-   which worker ran what.  Exceptions are re-raised in the coordinator,
-   deterministically picking the lowest-index failure. *)
+(* Run [compute ~slot i] for [i < n] across [jobs] workers.  [slot] is
+   the worker's stable index in [0, jobs): the coordinator is slot 0 and
+   each spawned domain keeps its own slot for the whole run, so a caller
+   can keep per-slot state (the remote layer's worker process) without
+   locking.  Results land in an array indexed by task, so output order
+   is input order no matter which worker ran what.  Exceptions are
+   re-raised in the coordinator, deterministically picking the
+   lowest-index failure. *)
 let run_indexed ~jobs n compute =
   let slots = Array.make n None in
   if jobs <= 1 || n <= 1 then
     for i = 0 to n - 1 do
-      slots.(i) <- Some (Ok (compute i))
+      slots.(i) <- Some (Ok (compute ~slot:0 i))
     done
   else begin
     let next = Atomic.make 0 in
-    let worker () =
+    let worker slot () =
       (* Backtrace recording is per-domain in OCaml 5; the module-level
          call only covers the coordinator. *)
       Printexc.record_backtrace true;
@@ -124,15 +128,15 @@ let run_indexed ~jobs n compute =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (slots.(i) <-
-            (try Some (Ok (compute i))
+            (try Some (Ok (compute ~slot i))
              with e -> Some (Error (e, Printexc.get_raw_backtrace ()))));
           loop ()
         end
       in
       loop ()
     in
-    let spawned = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker () (* the coordinator is one of the pool's workers *);
+    let spawned = List.init (min jobs n - 1) (fun s -> Domain.spawn (worker (s + 1))) in
+    worker 0 () (* the coordinator is one of the pool's workers *);
     List.iter Domain.join spawned
   end;
   Array.iteri
@@ -146,7 +150,7 @@ let run_indexed ~jobs n compute =
 
 let map ?jobs:j f tasks =
   let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  run_indexed ~jobs (Array.length tasks) (fun i -> f tasks.(i))
+  run_indexed ~jobs (Array.length tasks) (fun ~slot:_ i -> f tasks.(i))
 
 (* --- keyed tasks with private stats -------------------------------------- *)
 
@@ -167,8 +171,9 @@ type merged_stats = {
 type task_snapshots = Counter.snapshot * (string * Histogram.snapshot) list
 
 (* Deterministic reduction: fold in task order (= the caller's key
-   order), not completion order. *)
-let merge_snapshots per_task =
+   order), not completion order.  [merge_raw] stays in snapshot form, so
+   the chunk loop can pre-merge each chunk on its own domain. *)
+let merge_raw per_task : task_snapshots =
   let counter_total =
     List.fold_left (fun acc (snap, _) -> Counter.merge acc snap)
       Counter.empty_snapshot per_task
@@ -185,17 +190,20 @@ let merge_snapshots per_task =
           Hashtbl.replace hist_total name (Histogram.merge prev snap))
         hs)
     per_task;
-  let histograms =
-    Hashtbl.fold (fun name snap acc -> (name, Histogram.of_snapshot snap) :: acc)
-      hist_total []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  { counters = Counter.of_snapshot counter_total; histograms }
+  ( counter_total,
+    Hashtbl.fold (fun name snap acc -> (name, snap) :: acc) hist_total []
+    |> List.sort (fun (a, _) (b, _) -> compare a b) )
+
+let merge_snapshots per_task =
+  let counters, hists = merge_raw per_task in
+  {
+    counters = Counter.of_snapshot counters;
+    histograms = List.map (fun (name, snap) -> (name, Histogram.of_snapshot snap)) hists;
+  }
 
 (* Telemetry boundary: fold a sweep's merged stats into the --metrics
    accumulator.  Runs after the merge is complete, so it observes —
-   never perturbs — the deterministic totals.  [sweep] (and
-   Remote.sweep) calls this on its way out. *)
+   never perturbs — the deterministic totals. *)
 let publish_metrics (stats : merged_stats) =
   if Trace.metrics_on () then
     Trace.metrics_absorb
@@ -396,7 +404,18 @@ let attempt_task ?(span_parent = 0) ~retries ~timeout ~key compute =
   in
   go 0
 
-let build_report ?(worker_losses = 0) ~chunks ~key tasks raw =
+(* One task run in this process: [attempt_task]'s fence around a fresh
+   private context per attempt, so a faulted attempt's partial stats are
+   discarded wholesale.  The in-process chunk body, the remote worker
+   and the remote layer's in-process fallback all run tasks through
+   this, which is what keeps their stats bit-identical. *)
+let run_task ?span_parent ~retries ~timeout ~key f =
+  attempt_task ?span_parent ~retries ~timeout ~key (fun ~attempt:_ ~attempt_key ->
+      let ctx, snapshots = make_ctx attempt_key in
+      let v = f ctx in
+      (v, snapshots ()))
+
+let build_report ~worker_losses ~chunks ~key tasks raw =
   let tasks_n = Array.length tasks in
   let ok = ref 0
   and retried_ok = ref 0
@@ -454,75 +473,64 @@ let fault_counters report group =
   Counter.incr ~by:report.worker_lost group "pool.worker_lost";
   Counter.incr ~by:report.retries_used group "pool.retries_used"
 
-(* --- the sweep ------------------------------------------------------------ *)
+(* --- the chunk loop ------------------------------------------------------- *)
 
-(* One chunk = one pool dispatch, but supervision stays per *task*: each
-   task of the chunk runs under its own [attempt_task] fence (retry
-   budget, injection hook, cooperative deadline), and [attempt_task]
-   never raises, so a crash or timeout mid-chunk faults exactly that
-   task — its chunk-mates keep running and the fault report stays keyed
-   per task.
+(* One chunk = one pool dispatch, but supervision stays per *task*: the
+   body returns one (outcome, attempt index) per task of its chunk, and
+   a crash, timeout or worker loss mid-chunk faults exactly that task.
+   Each chunk's completed tasks are pre-merged on the slot that ran it,
+   so the coordinator merges per chunk, in chunk (= task) order.
 
    [pool.chunks] records how many dispatch rounds the sweep actually
    paid.  It is the *only* scheduling-dependent counter the pool ever
    merges: with auto batch sizing it varies with --jobs, so determinism
-   tests compare merged counters modulo this one name. *)
-let sweep ?jobs:j ?batch_size ?retries ?task_timeout ~key f tasks =
+   tests compare merged counters modulo this one name.  [transport] is
+   read once after the last chunk: the worker loss events and the
+   transport's own counters, both zero/empty in process. *)
+let run_chunks ?jobs:j ?batch_size ?(transport = fun () -> (0, [])) ~key body tasks =
   let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  let retries, timeout = supervise_params ?retries ?task_timeout () in
   let n = Array.length tasks in
   let batch = resolve_batch ?batch_size ~jobs n in
   let chunks = chunk_ranges ~batch n in
   let per_chunk =
-    run_indexed ~jobs (Array.length chunks) (fun ci ->
+    run_indexed ~jobs (Array.length chunks) (fun ~slot ci ->
         let start, len = chunks.(ci) in
-        let cid =
-          if Trace.on () then
-            Trace.span_begin ~stage:"chunk"
-              [ ("chunk", string_of_int ci); ("tasks", string_of_int len) ]
-          else 0
+        let outcomes = body ~slot ~chunk:ci ~start ~len in
+        let done_snaps =
+          Array.to_list outcomes
+          |> List.filter_map (function Ok (_, snaps), _ -> Some snaps | Error _, _ -> None)
         in
-        (* Each attempt gets a fresh private context (a faulted attempt's
-           partial stats are discarded wholesale); completed
-           tasks fold into one chunk-level accumulator so the
-           coordinator merges per chunk, not per task. *)
-        let acc_counters = ref Counter.empty_snapshot in
-        let acc_hists : (string, Histogram.snapshot) Hashtbl.t = Hashtbl.create 4 in
-        let absorb (counter_snap, hist_snaps) =
-          acc_counters := Counter.merge !acc_counters counter_snap;
-          List.iter
-            (fun (name, snap) ->
-              let prev =
-                Option.value ~default:Histogram.empty_snapshot
-                  (Hashtbl.find_opt acc_hists name)
-              in
-              Hashtbl.replace acc_hists name (Histogram.merge prev snap))
-            hist_snaps
-        in
-        let slots =
-          Array.init len (fun k ->
-              let i = start + k in
-              let outcome, attempts =
-                attempt_task ~span_parent:cid ~retries ~timeout
-                  ~key:(key tasks.(i)) (fun ~attempt:_ ~attempt_key ->
-                    let ctx, snapshots = make_ctx attempt_key in
-                    let v = f tasks.(i) ctx in
-                    (v, snapshots ()))
-              in
-              (match outcome with Ok (_, snaps) -> absorb snaps | Error _ -> ());
-              (Result.map fst outcome, attempts))
-        in
-        let hist_snaps =
-          Hashtbl.fold (fun name s acc -> (name, s) :: acc) acc_hists []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        Trace.span_end cid;
-        (slots, (!acc_counters, hist_snaps)))
+        (Array.map (fun (o, a) -> (Result.map fst o, a)) outcomes, merge_raw done_snaps))
   in
   let raw = Array.init n (fun i -> (fst per_chunk.(i / batch)).(i mod batch)) in
-  let report = build_report ~chunks:(Array.length chunks) ~key tasks raw in
+  let worker_losses, transport_counters = transport () in
+  let report =
+    build_report ~worker_losses ~chunks:(Array.length chunks) ~key tasks raw
+  in
   let stats = merge_snapshots (Array.to_list (Array.map snd per_chunk)) in
   fault_counters report stats.counters;
   Counter.incr ~by:report.chunks stats.counters "pool.chunks";
+  List.iter (fun (name, by) -> Counter.incr ~by stats.counters name) transport_counters;
   publish_metrics stats;
   (Array.map fst raw, stats, report)
+
+(* --- the sweep ------------------------------------------------------------ *)
+
+let sweep ?jobs ?batch_size ?retries ?task_timeout ~key f tasks =
+  let retries, timeout = supervise_params ?retries ?task_timeout () in
+  run_chunks ?jobs ?batch_size ~key
+    (fun ~slot:_ ~chunk ~start ~len ->
+      let cid =
+        if Trace.on () then
+          Trace.span_begin ~stage:"chunk"
+            [ ("chunk", string_of_int chunk); ("tasks", string_of_int len) ]
+        else 0
+      in
+      let outcomes =
+        Array.init len (fun k ->
+            let task = tasks.(start + k) in
+            run_task ~span_parent:cid ~retries ~timeout ~key:(key task) (fun ctx -> f task ctx))
+      in
+      Trace.span_end cid;
+      outcomes)
+    tasks

@@ -34,14 +34,6 @@ val batch_size : unit -> int option
     load balancing without paying per-task dispatch on every task. *)
 val auto_batch_size : jobs:int -> int -> int
 
-(** Effective batch size for [n] tasks: the explicit argument if given,
-    else the process-wide knob, else {!auto_batch_size}. *)
-val resolve_batch : ?batch_size:int -> jobs:int -> int -> int
-
-(** [chunk_ranges ~batch n] is the contiguous [(start, len)] slices the
-    sweeps dispatch, in index order. *)
-val chunk_ranges : batch:int -> int -> (int * int) array
-
 (** Process-wide supervision defaults, set once from the CLI; the
     [?retries] / [?task_timeout] arguments of {!sweep}
     override them per sweep. Retries clamp to at least 0. *)
@@ -109,13 +101,6 @@ val make_ctx : string -> ctx * (unit -> task_snapshots)
     any chunking of the same snapshots equivalent. *)
 val merge_snapshots : task_snapshots list -> merged_stats
 
-(** Fold a sweep's merged stats into the [--metrics] accumulator
-    ({!Trace.metrics_absorb}); a no-op unless {!Trace.metrics_on}.
-    {!sweep} calls this after its merge; sweep drivers that assemble
-    [merged_stats] themselves (the remote dispatch layer) must call it
-    too. *)
-val publish_metrics : merged_stats -> unit
-
 (** {2 Supervised sweeps}
 
     A crashing or wedged task is contained and classified instead of
@@ -181,44 +166,58 @@ val fault_to_string : fault -> string
     with the first [max_backtraces] crash backtraces inlined. *)
 val render_fault_report : ?max_backtraces:int -> fault_report -> string
 
-(** One supervised task: bounded retries, each attempt fenced by the
-    armed {!Faultinject} plan and the cooperative deadline. Never
-    raises; returns the classification plus the index of the last
-    attempt (0-based, so [attempts_index + 1] tries were made). Attempt
-    [a] receives [~attempt_key:(retry_key key a)]. Exposed for the
-    remote worker, which must run tasks through the exact same fence to
-    keep remote stats bit-identical to in-process runs. Emits one
-    ["task"] trace span per attempt (parented under [?span_parent],
-    default none) and a ["retry"] instant before each retry — both only
-    when {!Trace.on}[ ()]. *)
-val attempt_task :
+(** One supervised task run in this process: bounded retries, each
+    attempt fenced by the armed {!Faultinject} plan and the cooperative
+    deadline, and given a fresh {!make_ctx} seeded from its
+    {!retry_key}. Never raises; returns the value with the attempt's
+    snapshots, or the classification, plus the index of the last
+    attempt (0-based, so [attempts_index + 1] tries were made). The
+    in-process sweep, the remote worker and the remote layer's
+    in-process fallback all run tasks through this, which keeps their
+    stats bit-identical. Emits one ["task"] trace span per attempt
+    (parented under [?span_parent], default none) and a ["retry"]
+    instant before each retry — both only when {!Trace.on}[ ()]. *)
+val run_task :
   ?span_parent:int ->
   retries:int ->
   timeout:float option ->
   key:string ->
-  (attempt:int -> attempt_key:string -> 'a) ->
-  ('a, fault) result * int
+  (ctx -> 'b) ->
+  ('b * task_snapshots, fault) result * int
 
 (** Resolve the effective (retries, timeout) pair: explicit arguments
     win, else the process-wide CLI knobs. *)
 val supervise_params :
   ?retries:int -> ?task_timeout:float -> unit -> int * float option
 
-(** Fold per-task [(outcome, attempts_index)] slots (in task order) into
-    a {!fault_report}; [?worker_losses] records loss events (default
-    0). Also adds the fault count to {!faults_seen}. *)
-val build_report :
-  ?worker_losses:int ->
-  chunks:int ->
-  key:('a -> string) ->
-  'a array ->
-  (('b, fault) result * int) array ->
-  fault_report
+(** {2 The chunk loop} *)
 
-(** Fold a report's counts into a counter group as the [pool.*] fault
-    counters ([pool.tasks] … [pool.retries_used], [pool.worker_lost]);
-    scheduling-independent. *)
-val fault_counters : fault_report -> Chex86_stats.Counter.group -> unit
+(** [run_chunks ~key body tasks] is the scheduler both sweeps share.
+    Tasks are grouped into contiguous chunks of [?batch_size] (default:
+    the process-wide knob, else {!auto_batch_size}), and [?jobs] slots
+    pull chunks dynamically; slot [0] is the calling domain and every
+    other slot is one spawned domain for the whole run, so [body] may
+    keep per-slot state without locking. [body ~slot ~chunk ~start
+    ~len] runs tasks [\[start, start + len)] and returns one
+    {!run_task}-shaped outcome per task, in order; it should not raise
+    (an exception is re-raised in the caller).
+
+    The loop merges each chunk's completed-task snapshots in task
+    order, builds the {!fault_report} (adding its faults to
+    {!faults_seen}), folds the [pool.*] fault counters and
+    [pool.chunks] into the merged counters and publishes them to
+    [--metrics]. [?transport] is read once after the last chunk and
+    before the publish: the worker loss events for the report and
+    extra counters to add (default [(0, [])]). *)
+val run_chunks :
+  ?jobs:int ->
+  ?batch_size:int ->
+  ?transport:(unit -> int * (string * int) list) ->
+  key:('a -> string) ->
+  (slot:int -> chunk:int -> start:int -> len:int ->
+   (('b * task_snapshots, fault) result * int) array) ->
+  'a array ->
+  ('b, fault) result array * merged_stats * fault_report
 
 (** {2 The sweep} *)
 
@@ -226,15 +225,14 @@ val fault_counters : fault_report -> Chex86_stats.Counter.group -> unit
     supervision and returns [(results, merged_stats, fault_report)];
     result slots line up with input order.
 
-    Tasks are grouped into contiguous chunks of [?batch_size] (default:
-    the process-wide knob, else {!auto_batch_size}) and each chunk is
-    dispatched to one pool slot as a unit: one dispatch and one stats
-    merge round per chunk instead of per task. [~jobs:1] (or a single
-    chunk) runs every chunk in the calling domain, in index order.
+    It is {!run_chunks} with the in-process body: each chunk runs its
+    tasks through {!run_task} on one pool slot — one dispatch and one
+    stats merge round per chunk instead of per task. [~jobs:1] (or a
+    single chunk) runs every chunk in the calling domain, in index
+    order.
 
-    Each attempt gets a fresh private [ctx] seeded from its
-    {!retry_key}; a faulted attempt's partial stats are discarded
-    wholesale, so merged totals only count completed tasks. A crash or
+    A faulted attempt's partial stats are discarded wholesale, so
+    merged totals only count completed tasks. A crash or
     timeout mid-chunk faults exactly that task: its chunk-mates keep
     running and the report is keyed per task. Tasks faulted by the armed
     {!Faultinject} plan and real crashes/timeouts are both reported
@@ -244,11 +242,11 @@ val fault_counters : fault_report -> Chex86_stats.Counter.group -> unit
     chunks are contiguous, so results and merged stats are bit-identical
     to a serial [~jobs:1 ~batch_size:1] run at any geometry, with one
     documented exception. The merged counters carry the [pool.*] fault
-    counters ({!fault_counters}, scheduling-independent) plus
+    counters ([pool.tasks] … [pool.retries_used], scheduling-independent) plus
     [pool.chunks], the dispatch rounds paid, which varies with the batch
     geometry (and with [--jobs] under auto-sizing); determinism
     comparisons must exclude that one name. The merged stats are also
-    published to [--metrics] ({!publish_metrics}). *)
+    published to [--metrics]. *)
 val sweep :
   ?jobs:int ->
   ?batch_size:int ->

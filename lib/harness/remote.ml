@@ -4,30 +4,31 @@
    reaches [Pool.check_deadline] — stack overflow, runaway allocation, a
    simulator bug spinning in native code — still takes the whole sweep
    down, because domains cannot be killed.  This layer makes containment
-   structural: the supervisor forks/execs N copies of
-   [bin/chex86_worker.exe] (or connects to [--worker HOST:PORT] peers
-   over TCP), ships each batched chunk's task keys as length-prefixed,
-   digest-checksummed frames, and merges the returned per-task stats
-   snapshots through the exact same [Counter]/[Histogram] merge path the
-   pool uses — so results stay bit-identical to a serial run at any
-   (jobs, batch, transport) geometry.
+   structural.  It is a chunk body for [Pool.run_chunks]: each pool slot
+   forks/execs its own copy of [bin/chex86_worker.exe] over a socketpair,
+   ships each chunk's task keys as length-prefixed, digest-checksummed
+   frames and returns the streamed per-task outcomes.  Chunking,
+   chunk-to-slot assignment, the stats merge and the fault report are
+   Pool's, so results stay bit-identical to a serial run at any
+   (workers, batch) geometry.
 
    Robustness model:
    - Liveness is observed, never assumed: a worker's frames (Hello,
-     Beat, Result) are its heartbeat.  Beats ride the pool's
-     [check_deadline] tick hook, so a task that reaches its cooperative
-     safe points also proves the worker alive; one that never does goes
-     silent and is SIGKILLed at the hard heartbeat deadline.
+     Beat, Result) are its heartbeat, read under a receive timeout of
+     one heartbeat.  Beats ride the pool's [check_deadline] tick hook,
+     so a task that reaches its cooperative safe points also proves the
+     worker alive; one that never does goes silent and is SIGKILLed when
+     the timeout fires.
    - A dead worker loses only its in-flight task's progress: streamed
-     per-task results are kept, and the remainder of the chunk is
-     re-dispatched.  A task that keeps killing its worker is faulted as
-     [Worker_lost] once the loss budget is spent — distinguished in the
-     fault report from [Crashed]/[Timed_out].
-   - Respawns/reconnects back off exponentially with deterministic
-     jitter under a bounded restart budget.
-   - If no worker can be started, or every restart budget is exhausted,
-     the sweep degrades to the in-process pool path with a warning
-     instead of failing.
+     per-task results are kept, and the tasks still owed are re-sent to
+     a respawned worker.  A task that keeps killing its worker is
+     faulted as [Worker_lost] once the loss budget is spent —
+     distinguished in the fault report from [Crashed]/[Timed_out].
+   - Respawns back off exponentially with deterministic jitter under a
+     bounded restart budget per slot.
+   - A slot with no live worker (no executable, or its restart budget
+     spent) runs its chunks in-process with a warning instead of
+     failing.
 
    Layering: this module sits below Runner/Security (they route sweeps
    through it), so it must not reference them.  The worker-side result
@@ -44,7 +45,7 @@ let protocol_version = 2
 
 (* --- process-wide knobs (CLI-set, argument-overridable) ------------------- *)
 
-type spec = Off | Spawn of int | Peers of (string * int) list
+type spec = Off | Spawn of int
 
 let current_spec : spec Atomic.t = Atomic.make Off
 let set_spec s = Atomic.set current_spec s
@@ -66,15 +67,12 @@ let check_heartbeat ~who s =
 
 let set_heartbeat s = Atomic.set current_heartbeat (check_heartbeat ~who:"Remote.set_heartbeat" s)
 let heartbeat () = Atomic.get current_heartbeat
-let current_restart_budget = Atomic.make 3
-let set_restart_budget n = Atomic.set current_restart_budget (max 0 n)
-let restart_budget () = Atomic.get current_restart_budget
-let current_task_loss_budget = Atomic.make 1
-let set_task_loss_budget n = Atomic.set current_task_loss_budget (max 0 n)
-let task_loss_budget () = Atomic.get current_task_loss_budget
-let current_backoff_base = Atomic.make 0.05
-let set_backoff_base s = Atomic.set current_backoff_base (Float.max 0.001 s)
-let backoff_base () = Atomic.get current_backoff_base
+
+(* Respawns one worker slot may pay before it runs its chunks
+   in-process, and the first respawn delay in seconds (it doubles per
+   restart). *)
+let restart_budget = 3
+let backoff_base = 0.05
 
 (* --- store wiring hooks (set by Runner; see layering note above) ---------- *)
 
@@ -189,7 +187,9 @@ let write_all fd b =
 
 let send_frame fd ftype payload = write_all fd (encode_frame ftype payload)
 
-(* Blocking reader (worker side; the supervisor parses incrementally). *)
+(* Blocking reader, both sides: the supervisor's socket carries a
+   receive timeout of one heartbeat, so a silent worker surfaces here as
+   EAGAIN. *)
 let really_read fd len =
   let b = Bytes.create len in
   let pos = ref 0 in
@@ -307,11 +307,8 @@ module Worker = struct
               then Unix.kill (Unix.getpid ()) Sys.sigkill;
               beat ();
               let outcome, attempts =
-                Pool.attempt_task ~span_parent:cid ~retries:req.retries
-                  ~timeout:req.task_timeout ~key (fun ~attempt:_ ~attempt_key ->
-                    let ctx, snapshots = Pool.make_ctx attempt_key in
-                    let v = fn ~key ~arg:req.args.(k) ctx in
-                    (v, snapshots ()))
+                Pool.run_task ~span_parent:cid ~retries:req.retries
+                  ~timeout:req.task_timeout ~key (fun ctx -> fn ~key ~arg:req.args.(k) ctx)
               in
               let tr =
                 { t_index = req.indices.(k); t_attempts = attempts; t_outcome = outcome }
@@ -343,20 +340,6 @@ module Worker = struct
         loop ()
     in
     loop ()
-
-  let listen ~port =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_any, port));
-    Unix.listen sock 8;
-    Printf.eprintf "chex86_worker: listening on port %d\n%!" port;
-    let rec accept_loop () =
-      let fd, _ = Unix.accept sock in
-      (try serve ~input:fd ~output:fd with _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      accept_loop ()
-    in
-    accept_loop ()
 end
 
 (* --- supervisor ------------------------------------------------------------ *)
@@ -368,74 +351,15 @@ let warn fmt =
    running binary, else the sibling bin/ directory (covers executables
    under _build/default/{bin,bench,test}). *)
 let worker_exe () =
-  match Sys.getenv_opt "CHEX86_WORKER_EXE" with
-  | Some p when p <> "" -> Some p
-  | _ ->
-    let dir = Filename.dirname Sys.executable_name in
-    List.find_opt Sys.file_exists
+  let dir = Filename.dirname Sys.executable_name in
+  List.find_opt Sys.file_exists
+    (match Sys.getenv_opt "CHEX86_WORKER_EXE" with
+    | Some p when p <> "" -> [ p ]
+    | _ ->
       [
         Filename.concat dir "chex86_worker.exe";
         Filename.concat dir (Filename.concat ".." (Filename.concat "bin" "chex86_worker.exe"));
-      ]
-
-type origin = Spawned | Peer of string * int
-
-type conn = { fd : Unix.file_descr; pid : int option; rbuf : Buffer.t }
-
-type item = {
-  i_chunk : int;
-  mutable i_attempt : int;  (* dispatch attempt, not task attempt *)
-  mutable i_indices : int array;  (* global indices still owed *)
-  mutable i_errs : int;  (* Err frames this chunk has cost *)
-  mutable i_span : int;  (* open supervisor-side chunk span, 0 if none *)
-}
-
-(* A dispatch attempt's chunk span closes wherever the item leaves the
-   Busy state (completion, frame error, worker loss); resetting to the
-   null id makes the close idempotent. *)
-let end_item_span item =
-  if item.i_span <> 0 then begin
-    Trace.span_end item.i_span;
-    item.i_span <- 0
-  end
-
-type slot_state =
-  | Unborn
-  | Idle of conn
-  | Busy of conn * item
-  | Respawning of float  (* monotonic due time *)
-  | Dead
-
-type slot = {
-  sid : int;
-  origin : origin;
-  mutable state : slot_state;
-  mutable restarts : int;
-  mutable last_activity : float;
-}
-
-let spawn_conn exe =
-  try
-    let sup, wrk = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.set_close_on_exec sup;
-    let pid = Unix.create_process exe [| exe; "--stdio" |] wrk wrk Unix.stderr in
-    Unix.close wrk;
-    Ok { fd = sup; pid = Some pid; rbuf = Buffer.create 4096 }
-  with e -> Error (Printexc.to_string e)
-
-let connect_peer host port =
-  try
-    let addr =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    Ok { fd; pid = None; rbuf = Buffer.create 4096 }
-  with e -> Error (Printexc.to_string e)
+      ])
 
 (* Deterministic backoff jitter: seeded from (slot, restart ordinal),
    never the clock, so restart schedules are as reproducible as the
@@ -449,27 +373,83 @@ let connect_peer host port =
 let max_backoff_delay = 5.0
 
 let backoff_delay ~sid ~restarts =
-  let base = backoff_base () in
   let exp =
-    Float.min max_backoff_delay (base *. (2. ** float_of_int (max 0 (restarts - 1))))
+    Float.min max_backoff_delay (backoff_base *. (2. ** float_of_int (max 0 (restarts - 1))))
   in
   let rng = Pool.rng_of_key (Printf.sprintf "respawn/%d/%d" sid restarts) in
   exp *. (1. +. (0.25 *. Rng.float rng))
 
+(* Both ends close on exec: slots spawn concurrently, and a sibling
+   worker that inherited this pair would hold the socket open after
+   ours died, hiding the EOF until the heartbeat fires.  The child's
+   stdio copies are made by dup2, which clears the flag. *)
+let spawn exe ~hb =
+  try
+    let sup, wrk = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.create_process exe [| exe; "--stdio" |] wrk wrk Unix.stderr with
+    | pid ->
+      Unix.close wrk;
+      Unix.setsockopt_float sup Unix.SO_RCVTIMEO hb;
+      Ok (sup, pid)
+    | exception e ->
+      Unix.close sup;
+      Unix.close wrk;
+      raise e
+  with e -> Error (Printexc.to_string e)
+
+(* Ship a Run frame through the armed transport fault plan; [false]
+   when the plan swallowed it. *)
+let send_run fd ~keys ~attempt payload =
+  match Faultinject.transport_fault_for ~keys ~attempt with
+  | Some Faultinject.Drop_frame ->
+    (* Swallowed in transit: the worker stays silent on this chunk and
+       the heartbeat timeout recovers it. *)
+    false
+  | Some (Faultinject.Delay_frame s) ->
+    Unix.sleepf s;
+    send_frame fd Run payload;
+    true
+  | Some Faultinject.Corrupt_frame ->
+    let b = encode_frame Run payload in
+    let pos = header_len + (String.length payload / 2) in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
+    write_all fd b;
+    true
+  | Some _ | None ->
+    send_frame fd Run payload;
+    true
+
 exception Lost of string
 
+(* One pool slot's worker process.  Only the domain that owns the slot
+   touches it. *)
+type slot = {
+  sid : int;
+  mutable conn : (Unix.file_descr * int) option;  (* socket, pid *)
+  mutable restarts : int;
+  mutable due : float;  (* monotonic time the next spawn may start *)
+}
+
+let close_worker ~kill slot =
+  Option.iter
+    (fun (fd, pid) ->
+      slot.conn <- None;
+      if kill then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      else (try send_frame fd Shutdown "" with Frame_error _ | Unix.Unix_error _ -> ());
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    slot.conn
+
+type reply = Done | Rejected of string
+
 let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_override
-    ?restart_budget:rb_override ?task_loss_budget:tlb_override ~kind ~key ~arg tasks =
-  let n = Array.length tasks in
+    ?(task_loss_budget = 1) ~kind ~key ~arg tasks =
   let retries, timeout = Pool.supervise_params ?retries ?task_timeout () in
-  let sp = match spec_override with Some s -> s | None -> spec () in
   let hb =
     match hb_override with
     | Some h -> check_heartbeat ~who:"Remote.sweep ?heartbeat" h
     | None -> heartbeat ()
   in
-  let rb = match rb_override with Some b -> max 0 b | None -> restart_budget () in
-  let tlb = match tlb_override with Some b -> max 0 b | None -> task_loss_budget () in
   let kind_fn =
     match find_kind kind with
     | Some f -> f
@@ -478,196 +458,89 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let keys = Array.map key tasks in
   let args = Array.map arg tasks in
-  let outcomes :
-      ((string * Pool.task_snapshots, Pool.fault) result * int) option array =
-    Array.make n None
+  let workers =
+    match Option.value ~default:(spec ()) spec_override with Off -> 0 | Spawn w -> max 1 w
   in
-  let losses = Array.make n 0 in
-  let dispatches = ref 0
-  and redispatched = ref 0
-  and loss_events = ref 0
-  and respawns = ref 0
-  and frame_errors = ref 0
-  and degraded = ref false in
+  let exe = if workers = 0 then None else worker_exe () in
+  let slots = Array.init (max 1 workers) (fun sid -> { sid; conn = None; restarts = 0; due = 0. }) in
+  (* Transport counters; the slots' domains update them concurrently. *)
+  let dispatches = Atomic.make 0
+  and redispatched = Atomic.make 0
+  and loss_events = Atomic.make 0
+  and respawns = Atomic.make 0
+  and frame_errors = Atomic.make 0
+  and degraded = Atomic.make false in
+  let slot_attr slot = ("slot", string_of_int slot.sid) in
 
-  let slot_count =
-    match sp with Off -> 0 | Spawn w -> max 1 w | Peers l -> List.length l
+  (* A loss or failed spawn costs the slot one restart; past the budget
+     the slot has no worker for the rest of the sweep. *)
+  let restart slot reason =
+    slot.restarts <- slot.restarts + 1;
+    if slot.restarts > restart_budget then
+      warn "worker %d: %s; restart budget exhausted" slot.sid reason
+    else begin
+      warn "worker %d: %s; respawning" slot.sid reason;
+      Atomic.incr respawns;
+      if Trace.on () then
+        Trace.instant ~stage:"worker.respawn"
+          [ slot_attr slot; ("restarts", string_of_int slot.restarts) ];
+      slot.due <- Pool.now () +. backoff_delay ~sid:slot.sid ~restarts:slot.restarts
+    end
   in
-  let batch = Pool.resolve_batch ?batch_size ~jobs:(max 1 slot_count) n in
-  let chunks = Pool.chunk_ranges ~batch n in
-  let queue : item Queue.t = Queue.create () in
-  Array.iteri
-    (fun ci (start, len) ->
-      Queue.add
-        { i_chunk = ci; i_attempt = 0; i_indices = Array.init len (fun k -> start + k);
-          i_errs = 0; i_span = 0 }
-        queue)
-    chunks;
-
-  (* The in-process path for one task — byte-identical semantics to the
-     worker's: same [attempt_task] fence, same per-attempt [make_ctx]. *)
-  let run_local i =
-    Pool.attempt_task ~retries ~timeout ~key:keys.(i) (fun ~attempt:_ ~attempt_key ->
-        let ctx, snapshots = Pool.make_ctx attempt_key in
-        let v = kind_fn ~key:keys.(i) ~arg:args.(i) ctx in
-        (v, snapshots ()))
-  in
-  (* Degradation: drain every unresolved task through the in-process
-     pool.  Reached when no worker could be started or every restart
-     budget is exhausted — the sweep completes either way. *)
-  let degrade reason =
-    if not !degraded then begin
-      degraded := true;
-      warn "%s; degrading to in-process domains" reason
-    end;
-    Queue.clear queue;
-    let unresolved =
-      Array.of_list (List.filter (fun i -> outcomes.(i) = None) (List.init n Fun.id))
-    in
-    let computed = Pool.map run_local unresolved in
-    Array.iteri (fun k i -> outcomes.(i) <- Some computed.(k)) unresolved
-  in
-
-  if n = 0 then begin
-    let stats = Pool.merge_snapshots [] in
-    let report = Pool.build_report ~chunks:0 ~key tasks [||] in
-    Pool.fault_counters report stats.Pool.counters;
-    Pool.publish_metrics stats;
-    ([||], stats, report)
-  end
-  else begin
-    let slots =
-      match sp with
-      | Off -> [||]
-      | Spawn w ->
-        Array.init (max 1 w) (fun sid ->
-            { sid; origin = Spawned; state = Unborn; restarts = 0; last_activity = 0. })
-      | Peers l ->
-        Array.of_list
-          (List.mapi
-             (fun sid (h, p) ->
-               { sid; origin = Peer (h, p); state = Unborn; restarts = 0;
-                 last_activity = 0. })
-             l)
-    in
-    let exe = match sp with Spawn _ -> worker_exe () | _ -> None in
-    let exe_usable = match exe with Some e -> Sys.file_exists e | None -> false in
-
-    let note_start_failure slot msg =
-      slot.restarts <- slot.restarts + 1;
-      if slot.restarts > rb then begin
-        warn "worker %d: %s; restart budget exhausted" slot.sid msg;
-        slot.state <- Dead
-      end
-      else begin
-        incr respawns;
+  (* The slot's live worker, spawned (after any backoff) when it has
+     none; [None] once it can have none. *)
+  let rec live slot =
+    match (slot.conn, exe) with
+    | Some _, _ -> slot.conn
+    | None, Some exe when slot.restarts <= restart_budget -> (
+      let wait = slot.due -. Pool.now () in
+      if wait > 0. then Unix.sleepf wait;
+      match spawn exe ~hb with
+      | Ok (fd, pid) ->
         if Trace.on () then
-          Trace.instant ~stage:"worker.respawn"
-            [ ("slot", string_of_int slot.sid);
-              ("restarts", string_of_int slot.restarts) ];
-        slot.state <- Respawning (Pool.now () +. backoff_delay ~sid:slot.sid ~restarts:slot.restarts)
-      end
-    in
-    let start_slot slot =
-      match slot.origin with
-      | Spawned ->
-        if not exe_usable then slot.state <- Dead
-        else begin
-          match spawn_conn (Option.get exe) with
-          | Ok conn ->
-            if Trace.on () then
-              Trace.instant ~stage:"worker.spawn"
-                [ ("slot", string_of_int slot.sid);
-                  ("pid", match conn.pid with Some p -> string_of_int p | None -> "-") ];
-            slot.state <- Idle conn;
-            slot.last_activity <- Pool.now ()
-          | Error msg -> note_start_failure slot ("spawn failed: " ^ msg)
-        end
-      | Peer (h, p) -> (
-        match connect_peer h p with
-        | Ok conn ->
-          if Trace.on () then
-            Trace.instant ~stage:"worker.spawn"
-              [ ("slot", string_of_int slot.sid);
-                ("peer", Printf.sprintf "%s:%d" h p) ];
-          slot.state <- Idle conn;
-          slot.last_activity <- Pool.now ()
-        | Error msg ->
-          note_start_failure slot (Printf.sprintf "connect %s:%d failed: %s" h p msg))
-    in
+          Trace.instant ~stage:"worker.spawn" [ slot_attr slot; ("pid", string_of_int pid) ];
+        slot.conn <- Some (fd, pid);
+        slot.conn
+      | Error msg ->
+        restart slot ("spawn failed: " ^ msg);
+        live slot)
+    | None, _ -> None
+  in
+  let lose slot reason =
+    Atomic.incr loss_events;
+    if Trace.on () then
+      Trace.instant ~stage:"worker.kill" [ slot_attr slot; ("reason", reason) ];
+    close_worker ~kill:true slot;
+    restart slot reason
+  in
 
-    let requeue_or_fault item reason =
-      end_item_span item;
-      let remaining =
-        Array.of_list
-          (List.filter (fun i -> outcomes.(i) = None) (Array.to_list item.i_indices))
-      in
-      if Array.length remaining > 0 then begin
-        (* The worker ran tasks in order, so the first index still owed
-           is the one that was in flight when the worker died. *)
-        let in_flight = remaining.(0) in
-        losses.(in_flight) <- losses.(in_flight) + 1;
-        let remaining =
-          if losses.(in_flight) > tlb then begin
-            outcomes.(in_flight) <- Some (Error (Pool.Worker_lost { reason }), 0);
-            Array.sub remaining 1 (Array.length remaining - 1)
-          end
-          else remaining
-        in
-        if Array.length remaining > 0 then begin
-          redispatched := !redispatched + Array.length remaining;
-          item.i_attempt <- item.i_attempt + 1;
-          item.i_indices <- remaining;
-          Queue.add item queue
-        end
-      end
+  let body ~slot:s ~chunk ~start ~len =
+    let slot = slots.(s) in
+    let out = Array.make len None in
+    let losses = Array.make len 0 in
+    let owed () = List.filter (fun k -> out.(k) = None) (List.init len Fun.id) in
+    let fault reason ks =
+      List.iter (fun k -> out.(k) <- Some (Error (Pool.Worker_lost { reason }), 0)) ks
     in
-    let handle_loss slot reason =
-      let conn_and_item =
-        match slot.state with
-        | Busy (conn, item) -> Some (conn, Some item)
-        | Idle conn -> Some (conn, None)
-        | _ -> None
-      in
-      match conn_and_item with
-      | None -> ()
-      | Some (conn, item_opt) ->
-        incr loss_events;
-        if Trace.on () then
-          Trace.instant ~stage:"worker.kill"
-            [ ("slot", string_of_int slot.sid); ("reason", reason) ];
-        (match conn.pid with
-        | Some pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        | None -> ());
-        (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-        Option.iter (fun item -> requeue_or_fault item reason) item_opt;
-        slot.restarts <- slot.restarts + 1;
-        if slot.restarts > rb then begin
-          warn "worker %d: %s; restart budget exhausted" slot.sid reason;
-          slot.state <- Dead
-        end
-        else begin
-          warn "worker %d: %s; respawning" slot.sid reason;
-          incr respawns;
-          if Trace.on () then
-            Trace.instant ~stage:"worker.respawn"
-              [ ("slot", string_of_int slot.sid);
-                ("restarts", string_of_int slot.restarts) ];
-          slot.state <-
-            Respawning (Pool.now () +. backoff_delay ~sid:slot.sid ~restarts:slot.restarts)
-        end
+    (* The worker runs tasks in order, so the first task still owed is
+       the one that was in flight; it is charged the loss. *)
+    let charge reason =
+      match owed () with
+      | k :: _ ->
+        losses.(k) <- losses.(k) + 1;
+        if losses.(k) > task_loss_budget then fault reason [ k ]
+      | [] -> ()
     in
-
-    let dispatch conn item =
-      incr dispatches;
-      let idxs = item.i_indices in
+    (* One dispatch attempt: send the owed tasks, then read frames until
+       the worker reports the chunk done or rejects the request. *)
+    let exchange fd ~attempt ks =
+      Atomic.incr dispatches;
+      let idxs = Array.of_list (List.map (fun k -> start + k) ks) in
       let req =
         {
-          chunk_id = item.i_chunk;
+          chunk_id = chunk;
           req_kind = kind;
-          dispatch_attempt = item.i_attempt;
+          dispatch_attempt = attempt;
           indices = idxs;
           keys = Array.map (fun i -> keys.(i)) idxs;
           args = Array.map (fun i -> args.(i)) idxs;
@@ -679,283 +552,131 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
           plan =
             Array.to_list idxs
             |> List.filter_map (fun i ->
-                   Option.map
-                     (fun d -> (keys.(i), d))
-                     (Faultinject.directive_for keys.(i)));
+                   Option.map (fun d -> (keys.(i), d)) (Faultinject.directive_for keys.(i)));
         }
       in
       let payload = Marshal.to_string req [] in
-      if Trace.on () then
-        item.i_span <-
+      let span =
+        if Trace.on () then
           Trace.span_begin ~stage:"chunk"
             [
-              ("chunk", string_of_int item.i_chunk);
-              ("attempt", string_of_int item.i_attempt);
+              ("chunk", string_of_int chunk);
+              ("attempt", string_of_int attempt);
               ("tasks", string_of_int (Array.length idxs));
-            ];
-      let sent =
-        match
-          Faultinject.transport_fault_for
-            ~keys:(Array.to_list req.keys)
-            ~attempt:item.i_attempt
-        with
-        | Some Faultinject.Drop_frame ->
-          (* Swallowed in transit: the worker stays silent on this chunk
-             and the heartbeat deadline recovers it. *)
-          false
-        | Some (Faultinject.Delay_frame s) ->
-          Unix.sleepf s;
-          send_frame conn.fd Run payload;
-          true
-        | Some Faultinject.Corrupt_frame ->
-          let b = encode_frame Run payload in
-          let pos = header_len + (String.length payload / 2) in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-          write_all conn.fd b;
-          true
-        | Some _ | None ->
-          send_frame conn.fd Run payload;
-          true
+            ]
+        else 0
       in
-      if sent && Trace.on () then
-        Trace.instant ~parent:item.i_span ~stage:"frame.send"
-          [
-            ("type", frame_type_name Run);
-            ("chunk", string_of_int item.i_chunk);
-            ("bytes", string_of_int (String.length payload));
-          ]
-    in
-    let assign () =
-      Array.iter
-        (fun slot ->
-          match slot.state with
-          | Idle conn when not (Queue.is_empty queue) -> (
-            let item = Queue.pop queue in
-            match dispatch conn item with
-            | () ->
-              slot.state <- Busy (conn, item);
-              slot.last_activity <- Pool.now ()
-            | exception _ ->
-              slot.state <- Busy (conn, item);
-              handle_loss slot "write to worker failed")
-          | _ -> ())
-        slots
-    in
-
-    let handle_frame slot conn item_opt ftype payload =
-      match ftype with
-      | Hello ->
-        if payload <> string_of_int protocol_version then
-          raise (Lost (Printf.sprintf "protocol version mismatch (worker says %S)" payload))
-      | Beat ->
+      let rec recv () =
+        let ftype, payload = read_frame fd in
         if Trace.on () then
-          Trace.instant ~stage:"worker.heartbeat" [ ("slot", string_of_int slot.sid) ]
-      | Result -> (
-        match (Marshal.from_string payload 0 : task_result) with
-        | tr ->
-          if tr.t_index >= 0 && tr.t_index < n && outcomes.(tr.t_index) = None then
-            outcomes.(tr.t_index) <- Some (tr.t_outcome, tr.t_attempts)
-        | exception _ -> raise (Lost "unparseable Result frame"))
-      | Chunk_done -> (
-        (* Stitch: the worker's collected span lines ride the payload's
-           third field; append them verbatim to our sink. *)
-        (match (Marshal.from_string payload 0 : int * int * string) with
-        | _, _, spans -> Trace.absorb_payload spans
-        | exception _ -> ());
-        match item_opt with
-        | Some item ->
-          end_item_span item;
-          slot.state <- Idle conn;
-          (* Defensive: a worker that skipped tasks still owes them. *)
-          if Array.exists (fun i -> outcomes.(i) = None) item.i_indices then
-            requeue_or_fault item "chunk finished with tasks missing"
-        | None -> ())
-      | Err -> (
-        incr frame_errors;
-        match item_opt with
-        | Some item ->
-          end_item_span item;
-          slot.state <- Idle conn;
-          item.i_errs <- item.i_errs + 1;
-          if item.i_errs > 2 then
-            Array.iter
-              (fun i ->
-                if outcomes.(i) = None then
-                  outcomes.(i) <-
-                    Some (Error (Pool.Worker_lost { reason = "repeated frame errors: " ^ payload }), 0))
-              item.i_indices
-          else begin
-            let remaining =
-              Array.of_list
-                (List.filter (fun i -> outcomes.(i) = None) (Array.to_list item.i_indices))
-            in
-            if Array.length remaining > 0 then begin
-              redispatched := !redispatched + Array.length remaining;
-              item.i_attempt <- item.i_attempt + 1;
-              item.i_indices <- remaining;
-              Queue.add item queue
-            end
-          end
-        | None -> warn "worker %d reported: %s" slot.sid payload)
-      | Run | Shutdown -> raise (Lost "unexpected frame from worker")
-    in
-    (* Incremental frame parse over whatever bytes arrived; the
-       supervisor digest-checks frames exactly like the worker does. *)
-    let pump slot conn item_opt =
-      let buf = Bytes.create 65536 in
-      match Unix.read conn.fd buf 0 65536 with
-      | 0 -> raise (Lost "worker closed the connection")
-      | len ->
-        slot.last_activity <- Pool.now ();
-        Buffer.add_subbytes conn.rbuf buf 0 len;
-        let data = Buffer.contents conn.rbuf in
-        let pos = ref 0 in
-        let total = String.length data in
-        let complete = ref true in
-        while !complete && total - !pos >= header_len do
-          let version = Char.code data.[!pos] in
-          if version <> protocol_version then
-            raise (Lost (Printf.sprintf "bad frame version %d" version));
-          let ftype =
-            match frame_type_of_tag (Char.code data.[!pos + 1]) with
-            | Some t -> t
-            | None -> raise (Lost "bad frame type")
-          in
-          let flen = Int32.to_int (String.get_int32_be data (!pos + 2)) in
-          if flen < 0 || flen > max_frame_payload then raise (Lost "bad frame length");
-          if total - !pos - header_len < flen then complete := false
-          else begin
-            let digest = String.sub data (!pos + 6) 16 in
-            let payload = String.sub data (!pos + header_len) flen in
-            if Digest.string payload <> digest then
-              raise (Lost "frame digest mismatch from worker");
-            pos := !pos + header_len + flen;
-            if Trace.on () then
-              Trace.instant ~stage:"frame.recv"
-                [
-                  ("type", frame_type_name ftype);
-                  ("slot", string_of_int slot.sid);
-                  ("bytes", string_of_int flen);
-                ];
-            handle_frame slot conn item_opt ftype payload
-          end
-        done;
-        Buffer.clear conn.rbuf;
-        Buffer.add_substring conn.rbuf data !pos (total - !pos)
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        raise (Lost "connection reset")
-    in
-
-    let all_dead () = Array.for_all (fun s -> s.state = Dead) slots in
-    let work_remaining () =
-      (not (Queue.is_empty queue))
-      || Array.exists (fun s -> match s.state with Busy _ -> true | _ -> false) slots
-    in
-
-    if slot_count = 0 then degrade "no workers configured"
-    else begin
-      Array.iter start_slot slots;
-      let rec loop () =
-        if work_remaining () then
-          if all_dead () then degrade "all worker restart budgets exhausted"
-          else begin
-            assign ();
-            let now = Pool.now () in
-            (* Wake for the earliest heartbeat or respawn deadline. *)
-            let timeout =
-              Array.fold_left
-                (fun acc s ->
-                  match s.state with
-                  | Busy _ -> Float.min acc (s.last_activity +. hb -. now)
-                  | Respawning due -> Float.min acc (due -. now)
-                  | _ -> acc)
-                0.25 slots
-            in
-            let timeout = Float.max 0.01 (Float.min 0.5 timeout) in
-            let fds =
-              Array.to_list slots
-              |> List.filter_map (fun s ->
-                     match s.state with
-                     | Idle conn | Busy (conn, _) -> Some conn.fd
-                     | _ -> None)
-            in
-            let readable, _, _ =
-              try Unix.select fds [] [] timeout
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-            in
-            Array.iter
-              (fun slot ->
-                match slot.state with
-                | (Idle conn | Busy (conn, _)) when List.memq conn.fd readable -> (
-                  let item_opt =
-                    match slot.state with Busy (_, it) -> Some it | _ -> None
-                  in
-                  try pump slot conn item_opt
-                  with Lost reason -> handle_loss slot reason)
-                | _ -> ())
-              slots;
-            let now = Pool.now () in
-            Array.iter
-              (fun slot ->
-                match slot.state with
-                | Busy _ when now -. slot.last_activity > hb ->
-                  handle_loss slot
-                    (Printf.sprintf "no heartbeat for %.2fs (deadline %.2fs)"
-                       (now -. slot.last_activity) hb)
-                | Respawning due when now >= due -> start_slot slot
-                | _ -> ())
-              slots;
-            loop ()
-          end
+          Trace.instant ~stage:"frame.recv"
+            [
+              ("type", frame_type_name ftype);
+              slot_attr slot;
+              ("bytes", string_of_int (String.length payload));
+            ];
+        match ftype with
+        | Hello ->
+          if payload <> string_of_int protocol_version then
+            raise (Lost (Printf.sprintf "protocol version mismatch (worker says %S)" payload));
+          recv ()
+        | Beat ->
+          if Trace.on () then Trace.instant ~stage:"worker.heartbeat" [ slot_attr slot ];
+          recv ()
+        | Result ->
+          (match (Marshal.from_string payload 0 : task_result) with
+          | tr ->
+            let k = tr.t_index - start in
+            if k >= 0 && k < len && out.(k) = None then
+              out.(k) <- Some (tr.t_outcome, tr.t_attempts)
+          | exception _ -> raise (Lost "unparseable Result frame"));
+          recv ()
+        | Chunk_done ->
+          (* Stitch: the worker's collected span lines ride the payload's
+             third field; append them verbatim to our sink. *)
+          (match (Marshal.from_string payload 0 : int * int * string) with
+          | _, _, spans -> Trace.absorb_payload spans
+          | exception _ -> ());
+          Done
+        | Err -> Rejected payload
+        | Run | Shutdown -> raise (Lost "unexpected frame from worker")
       in
-      loop ();
-      (* Orderly shutdown: spawned workers exit on Shutdown (or the EOF
-         from our close); peers return to their accept loop. *)
-      Array.iter
-        (fun slot ->
-          match slot.state with
-          | Idle conn | Busy (conn, _) ->
-            (try send_frame conn.fd Shutdown "" with Frame_error _ | Unix.Unix_error _ -> ());
-            (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-            (match conn.pid with
-            | Some pid -> (
-              try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            | None -> ())
-          | _ -> ())
-        slots
-    end;
-    (* Safety net: any task every path above failed to resolve still
-       runs locally — the sweep never returns holes. *)
-    let stragglers = List.filter (fun i -> outcomes.(i) = None) (List.init n Fun.id) in
-    List.iter (fun i -> outcomes.(i) <- Some (run_local i)) stragglers;
-
-    let raw = Array.map (function Some o -> o | None -> assert false) outcomes in
-    let per_task =
-      Array.to_list raw
-      |> List.filter_map (fun (outcome, _) ->
-             match outcome with Ok (_, snaps) -> Some snaps | Error _ -> None)
+      Fun.protect ~finally:(fun () -> Trace.span_end span) @@ fun () ->
+      (match send_run fd ~keys:(Array.to_list req.keys) ~attempt payload with
+      | true ->
+        if Trace.on () then
+          Trace.instant ~parent:span ~stage:"frame.send"
+            [
+              ("type", frame_type_name Run);
+              ("chunk", string_of_int chunk);
+              ("bytes", string_of_int (String.length payload));
+            ]
+      | false -> ()
+      | exception (Unix.Unix_error _ | Frame_error _) -> raise (Lost "write to worker failed"));
+      try recv () with
+      | End_of_file -> raise (Lost "worker closed the connection")
+      | Frame_error msg -> raise (Lost msg)
+      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        raise (Lost (Printf.sprintf "no heartbeat for %.2fs" hb))
+      | Unix.Unix_error (e, _, _) -> raise (Lost (Unix.error_message e))
     in
-    let stats = Pool.merge_snapshots per_task in
-    let report =
-      Pool.build_report ~worker_losses:!loss_events ~chunks:(Array.length chunks) ~key
-        tasks raw
+    let rec go ~attempt ~errs =
+      match owed () with
+      | [] -> ()
+      | ks -> (
+        if attempt > 0 then ignore (Atomic.fetch_and_add redispatched (List.length ks));
+        match live slot with
+        | None ->
+          if not (Atomic.exchange degraded true) then
+            warn "%s; degrading to in-process domains"
+              (match exe with
+              | None when workers = 0 -> "no workers configured"
+              | None -> "no worker executable found"
+              | Some _ -> "worker restart budget exhausted");
+          List.iter
+            (fun k ->
+              let i = start + k in
+              out.(k) <-
+                Some
+                  (Pool.run_task ~retries ~timeout ~key:keys.(i) (fun ctx ->
+                       kind_fn ~key:keys.(i) ~arg:args.(i) ctx)))
+            ks
+        | Some (fd, _) -> (
+          match exchange fd ~attempt ks with
+          | Done ->
+            (* Defensive: a worker that skipped tasks still owes them. *)
+            if owed () <> [] then charge "chunk finished with tasks missing";
+            go ~attempt:(attempt + 1) ~errs
+          | Rejected msg ->
+            Atomic.incr frame_errors;
+            if errs >= 2 then fault ("repeated frame errors: " ^ msg) (owed ())
+            else go ~attempt:(attempt + 1) ~errs:(errs + 1)
+          | exception Lost reason ->
+            lose slot reason;
+            charge reason;
+            go ~attempt:(attempt + 1) ~errs))
     in
-    Pool.fault_counters report stats.Pool.counters;
-    (* remote.* counters are scheduling- and environment-dependent by
-       nature (they record transport behaviour, not simulation results);
-       determinism comparisons exclude them, like [pool.chunks]. *)
-    let c = stats.Pool.counters in
-    Counter.incr ~by:slot_count c "remote.workers";
-    Counter.incr ~by:(Array.length chunks) c "remote.chunks";
-    Counter.incr ~by:!dispatches c "remote.dispatches";
-    Counter.incr ~by:!redispatched c "remote.redispatched_tasks";
-    Counter.incr ~by:!loss_events c "remote.worker_losses";
-    Counter.incr ~by:!respawns c "remote.respawns";
-    Counter.incr ~by:!frame_errors c "remote.frame_errors";
-    Counter.incr ~by:(if !degraded then 1 else 0) c "remote.degraded";
-    Pool.publish_metrics stats;
-    let results =
-      Array.map (fun (outcome, _) -> Result.map (fun (v, _) -> v) outcome) raw
-    in
-    (results, stats, report)
-  end
+    go ~attempt:0 ~errs:0;
+    Array.map Option.get out
+  in
+  (* [remote.*] counters are scheduling- and environment-dependent by
+     nature (they record transport behaviour, not simulation results);
+     determinism comparisons exclude them, like [pool.chunks]. *)
+  let transport () =
+    ( Atomic.get loss_events,
+      [
+        ("remote.workers", workers);
+        ("remote.dispatches", Atomic.get dispatches);
+        ("remote.redispatched_tasks", Atomic.get redispatched);
+        ("remote.worker_losses", Atomic.get loss_events);
+        ("remote.respawns", Atomic.get respawns);
+        ("remote.frame_errors", Atomic.get frame_errors);
+        ("remote.degraded", Bool.to_int (Atomic.get degraded));
+      ] )
+  in
+  (* Orderly shutdown: workers exit on Shutdown (or the EOF from our
+     close). *)
+  Fun.protect
+    ~finally:(fun () -> Array.iter (close_worker ~kill:false) slots)
+    (fun () ->
+      Pool.run_chunks ~jobs:(Array.length slots) ?batch_size ~transport ~key body tasks)

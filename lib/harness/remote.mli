@@ -2,24 +2,24 @@
 
     The in-process pool can only contain faults cooperatively — a task
     that never reaches [Pool.check_deadline] wedges its domain for good.
-    This layer makes containment structural: a supervisor forks/execs N
-    copies of [bin/chex86_worker.exe] (or connects to TCP worker peers),
-    ships each batched chunk's task keys as length-prefixed,
-    digest-checksummed frames, and merges the streamed per-task results
-    and stats snapshots through the same [Counter]/[Histogram] merge
-    path the pool uses, so results stay bit-identical to a serial run at
-    any (jobs, batch, transport) geometry.
+    This layer makes containment structural. {!sweep} runs on
+    {!Pool.run_chunks} with a chunk body that ships the chunk's task
+    keys, as length-prefixed, digest-checksummed frames, to the slot's
+    own spawned [bin/chex86_worker.exe] and returns the streamed
+    per-task results. Chunking, the stats merge and the fault report are
+    the pool's, so results stay bit-identical to a serial run at any
+    (workers, batch) geometry.
 
-    Robustness: per-worker heartbeats with a hard wall-clock deadline
-    and SIGKILL escalation; exponential-backoff respawn with
-    deterministic jitter under a bounded restart budget; re-dispatch of
-    only a dead worker's unfinished tasks (streamed results are kept); a
-    task that keeps killing its worker is faulted as
-    [Pool.Worker_lost]; and if no worker can be started at all the
-    sweep degrades to the in-process pool path with a warning.
+    Robustness: frames are read under a receive timeout of one
+    heartbeat, with SIGKILL escalation; exponential-backoff respawn
+    with deterministic jitter under a bounded restart budget per slot;
+    re-sending only the tasks a dead worker still owed (streamed results
+    are kept); a task that keeps killing its worker is faulted as
+    [Pool.Worker_lost]; and a slot with no live worker runs its chunks
+    in-process with a warning.
 
     The [remote.*] counters added to merged stats
-    ([remote.workers], [remote.chunks], [remote.dispatches],
+    ([remote.workers], [remote.dispatches],
     [remote.redispatched_tasks], [remote.worker_losses],
     [remote.respawns], [remote.frame_errors], [remote.degraded]) record
     transport behaviour and are scheduling-dependent by nature;
@@ -28,10 +28,9 @@
 val protocol_version : int
 (** Version byte leading every frame; both sides refuse a mismatch. *)
 
-(** How sweeps reach workers: not at all, [Spawn n] local worker
-    processes over socketpairs, or TCP [Peers] started with
-    [chex86_worker --listen PORT]. *)
-type spec = Off | Spawn of int | Peers of (string * int) list
+(** How sweeps reach workers: not at all, or [Spawn n] local worker
+    processes over socketpairs. *)
+type spec = Off | Spawn of int
 
 val set_spec : spec -> unit
 val spec : unit -> spec
@@ -43,33 +42,15 @@ val enabled : unit -> bool
     overrides for tests) *)
 
 val set_heartbeat : float -> unit
-(** Hard liveness deadline in seconds (default 30): a busy worker whose
-    last frame is older than this is SIGKILLed and its unfinished tasks
-    re-dispatched. Workers beat at a quarter of this interval. Raises
+(** Hard liveness deadline in seconds (default 30): a busy worker that
+    sends nothing for this long is SIGKILLed and its unfinished tasks
+    re-sent. Workers beat at a quarter of this interval. Raises
     [Invalid_argument] on a non-positive (or NaN) value — such a
     deadline would declare every worker wedged on dispatch; small
     positive values are floored at 50ms. [sweep]'s [?heartbeat]
     override validates identically. *)
 
 val heartbeat : unit -> float
-
-val set_restart_budget : int -> unit
-(** Respawns/reconnects allowed per worker slot (default 3) before the
-    slot is written off as dead. *)
-
-val restart_budget : unit -> int
-
-val set_task_loss_budget : int -> unit
-(** Worker losses a single task may cause (default 1) before it is
-    faulted as [Pool.Worker_lost] instead of re-dispatched. *)
-
-val task_loss_budget : unit -> int
-
-val set_backoff_base : float -> unit
-(** First respawn delay in seconds (default 0.05); doubles per restart,
-    with deterministic jitter seeded from (slot, restart ordinal). *)
-
-val backoff_base : unit -> float
 
 val max_backoff_delay : float
 (** Hard cap (seconds, pre-jitter) on the exponential respawn delay:
@@ -79,8 +60,9 @@ val max_backoff_delay : float
 
 val backoff_delay : sid:int -> restarts:int -> float
 (** The respawn delay for worker slot [sid] at restart ordinal
-    [restarts]: capped exponential growth from [backoff_base] plus
-    deterministic jitter. Exposed for the cap regression test. *)
+    [restarts]: capped exponential growth from 50 ms, doubling per
+    restart, plus jitter seeded from (slot, restart ordinal). Exposed
+    for the cap regression test. *)
 
 (** {2 Task kinds}
 
@@ -120,27 +102,25 @@ val sweep :
   ?task_timeout:float ->
   ?spec:spec ->
   ?heartbeat:float ->
-  ?restart_budget:int ->
   ?task_loss_budget:int ->
   kind:string ->
   key:('a -> string) ->
   arg:('a -> string) ->
   'a array ->
   (string, Pool.fault) result array * Pool.merged_stats * Pool.fault_report
-(** Dispatch [tasks] to workers in batched chunks and merge the
-    per-task outcomes; result slots line up with input order, stats are
-    bit-identical to a serial run of the same kind function (modulo
-    [pool.chunks] / [remote.*]). Raises [Invalid_argument] for an
+(** Run [tasks] through {!Pool.run_chunks} with one worker process per
+    slot ([?spec], default the process-wide spec; [Off] runs every
+    chunk in-process) and return the per-task outcomes; result slots
+    line up with input order, stats are bit-identical to a serial run
+    of the same kind function (modulo [pool.chunks] / [remote.*]). Each
+    slot may respawn its worker 3 times; a task may cost
+    [?task_loss_budget] (default 1) worker losses before it is faulted
+    as [Pool.Worker_lost]. Raises [Invalid_argument] for an
     unregistered [kind]; never raises for worker failures — those end
-    as [Pool.Worker_lost] faults or degradation to the in-process
-    path. *)
+    as [Pool.Worker_lost] faults or in-process runs. *)
 
 (** The worker side, driven by [bin/chex86_worker.exe]. *)
 module Worker : sig
   val serve : input:Unix.file_descr -> output:Unix.file_descr -> unit
   (** Serve one supervisor connection until Shutdown or EOF. *)
-
-  val listen : port:int -> unit
-  (** TCP accept loop ([--listen PORT]); serves supervisors one at a
-      time and returns to [accept] when each disconnects. *)
 end

@@ -707,13 +707,6 @@ module Store = struct
       try
         ensure_dir d;
         let won, entry_bytes = publish d ~key ~v2_path payload in
-        (* Legacy deterministic torn-write injection (key plans):
-           truncate the published entry, as if on a filesystem without
-           atomic rename. Only our own write is torn — tearing a racing
-           winner's entry would corrupt data another process owns. *)
-        (match (won, Faultinject.truncation_for ~key) with
-        | true, Some keep -> Unix.truncate v2_path (min keep (String.length payload))
-        | _ -> ());
         if won then maybe_evict d ~published_bytes:entry_bytes
       with
       | Unix.Unix_error ((Unix.ENOSPC | Unix.EROFS | Unix.EACCES), _, _) as e ->

@@ -96,9 +96,9 @@ let register_remote () =
    instead of killing the sweep; its stats are discarded wholesale, so
    the [sweep.*] counters only count completed evaluations (plus the
    [pool.*] fault counters the supervisor adds).  With workers
-   configured ([--workers]/[--worker]) the sweep runs in worker
-   processes instead of domains — same results, but a wedged evaluation
-   can also be killed at the heartbeat deadline. *)
+   configured ([--workers]) the sweep runs in worker processes instead
+   of domains — same results, but a wedged evaluation can also be
+   killed at the heartbeat deadline. *)
 let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout exploits =
   Trace.with_span ~stage:"sweep"
     [ ("kind", "security"); ("tasks", string_of_int (List.length exploits)) ]

@@ -176,6 +176,18 @@ let test_resolve_workloads () =
   | Ok ws -> Alcotest.(check (list string)) "strict ok" [ "mcf" ] (names ws)
   | Error e -> Alcotest.fail e
 
+(* CHEX86_SCALE: anything but an integer >= 1 is an error naming the
+   value, never a silent fallback to scale 1. *)
+let test_parse_scale () =
+  List.iter
+    (fun bad ->
+      match Experiments.parse_scale bad with
+      | Ok n -> Alcotest.failf "CHEX86_SCALE=%S accepted as %d" bad n
+      | Error msg ->
+        Alcotest.(check bool) ("error names " ^ bad) true (contains ~needle:bad msg))
+    [ "abc"; "0"; "-2" ];
+  Alcotest.(check (result int string)) "3 is 3" (Ok 3) (Experiments.parse_scale "3")
+
 let test_ablation_tlb_filter () =
   (* The alias-hosting filter can only reduce alias-cache lookups. *)
   let w = W.find "mcf" in
@@ -282,6 +294,7 @@ let () =
           Alcotest.test_case "figure1 text" `Quick test_figure1_text;
           Alcotest.test_case "workload resolution strictness" `Quick
             test_resolve_workloads;
+          Alcotest.test_case "scale parsing" `Quick test_parse_scale;
         ] );
       ( "multicore",
         [

@@ -486,26 +486,6 @@ let test_killed_then_resumed_sweep () =
       Alcotest.(check int) "the torn entry was discarded" 1 s.Runner.Store.discarded;
       Alcotest.(check int) "only the damaged task re-simulated" 1 s.Runner.Store.writes)
 
-let test_injected_cache_truncation () =
-  (* The Truncate_cache directive models the torn write end-to-end: the
-     armed plan truncates the freshly written entry, and the next run
-     detects and discards it instead of trusting it. *)
-  with_store (fun () ->
-      let w = W.find "swaptions" in
-      let key =
-        Runner.job_key (Runner.job ~tag:"st4" ~scale:1 Runner.insecure w)
-      in
-      let plan = Faultinject.of_list [ (key, Faultinject.truncate_cache 20) ] in
-      let a =
-        with_plan plan (fun () ->
-            Runner.run_workload ~tag:"st4" ~scale:1 Runner.insecure w)
-      in
-      Runner.reset_for_tests ();
-      let b = Runner.run_workload ~tag:"st4" ~scale:1 Runner.insecure w in
-      let s = Runner.Store.stats () in
-      Alcotest.(check int) "truncated entry discarded" 1 s.Runner.Store.discarded;
-      Alcotest.(check bool) "result unaffected" true (run_fields a = run_fields b))
-
 let test_prefetch_supervised_records_faults () =
   (* A faulted job is visible through run_workload_result and
      faulted_jobs, and a later supervised prefetch does not retry it. *)
@@ -668,8 +648,6 @@ let () =
             test_store_rejects_version_and_digest_mismatch;
           Alcotest.test_case "killed-then-resumed sweep" `Quick
             test_killed_then_resumed_sweep;
-          Alcotest.test_case "injected cache truncation" `Quick
-            test_injected_cache_truncation;
           Alcotest.test_case "prefetch records faults" `Quick
             test_prefetch_supervised_records_faults;
           Alcotest.test_case "stale tmp reclaimed" `Quick test_tmp_reclamation;
