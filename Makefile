@@ -134,10 +134,6 @@ store-smoke: build
 	./_build/default/bin/chex86_sim.exe store fsck \
 		--cache-dir /tmp/chex86-store-smoke-cache \
 		--out /tmp/chex86-fsck.json
-	./_build/default/bin/chex86_sim.exe store gc \
-		--cache-dir /tmp/chex86-store-smoke-cache --store-max-bytes 4K
-	./_build/default/bin/chex86_sim.exe store fsck \
-		--cache-dir /tmp/chex86-store-smoke-cache > /dev/null
 	rm -rf /tmp/chex86-store-smoke-cache
 
 check: build test smoke fault-smoke remote-smoke trace-smoke \

@@ -2,10 +2,12 @@
 
      chex86_sim run --workload mcf --variant prediction --scale 1
      chex86_sim list
-     chex86_sim experiment figure6
+     chex86_sim store fsck --cache-dir _chex86_cache
 
-   The [experiment] subcommand regenerates any single table/figure of the
-   paper (the bench executable regenerates all of them). *)
+   It also replays external traces and inspects the result store. It
+   takes no sweep flags: the paper's tables and figures are regenerated
+   by bench/main.exe (e.g. [bench/main.exe --jobs 2 figure6]), whose
+   flags Chex86_harness.Cli parses. *)
 
 open Cmdliner
 module Runner = Chex86_harness.Runner
@@ -65,139 +67,6 @@ let variant_arg =
 let scale_arg =
   Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~doc:"Workload scale factor.")
 
-(* Integer >= [min], rejected with a one-line message otherwise (plain
-   [Arg.int] happily accepts negative job counts). *)
-let bounded_int_conv ~what ~min =
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= min -> Ok n
-        | _ ->
-          Error
-            (`Msg (Printf.sprintf "invalid %s value %S (expected an integer >= %d)" what s min))),
-      Format.pp_print_int )
-
-let pos_float_conv ~what =
-  Arg.conv
-    ( (fun s ->
-        match float_of_string_opt s with
-        | Some f when f > 0. -> Ok f
-        | _ ->
-          Error (`Msg (Printf.sprintf "invalid %s value %S (expected seconds > 0)" what s))),
-      Format.pp_print_float )
-
-(* Shared by the sweeping subcommands: size of the domain pool. Results
-   are bit-identical at any job count; --jobs 1 is the exact serial
-   path. *)
-let jobs_arg =
-  Arg.(
-    value
-    & opt (bounded_int_conv ~what:"--jobs" ~min:1) (Chex86_harness.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains to shard simulations over (default: \
-           recommended domain count - 1; 1 = serial).")
-
-let batch_size_arg =
-  Arg.(
-    value
-    & opt (some (bounded_int_conv ~what:"--batch-size" ~min:1)) None
-    & info [ "batch-size" ] ~docv:"N"
-        ~doc:
-          "Tasks per dispatched chunk (default: auto-sized to about four \
-           chunks per worker). Results are bit-identical at any batch size.")
-
-(* Supervision and result-store knobs of the sweeping subcommands
-   (mirrors bench/main.exe; see DESIGN.md "Sweep supervision"). *)
-let strict_arg =
-  Arg.(
-    value & flag
-    & info [ "strict" ]
-        ~doc:
-          "Exit 1 if any supervised task faulted; unknown CHEX86_WORKLOADS names \
-           become errors.")
-
-let keep_going_arg =
-  Arg.(
-    value & flag
-    & info [ "keep-going" ] ~doc:"Report faults and continue (the default).")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt (bounded_int_conv ~what:"--retries" ~min:0) 0
-    & info [ "retries" ] ~docv:"N" ~doc:"Retry budget per faulted task (default 0).")
-
-let task_timeout_arg =
-  Arg.(
-    value
-    & opt (some (pos_float_conv ~what:"--task-timeout")) None
-    & info [ "task-timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-task wall budget, enforced cooperatively.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt string Runner.Store.default_dir
-    & info [ "cache-dir" ] ~docv:"DIR" ~doc:"On-disk result store location.")
-
-let no_cache_arg =
-  Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the on-disk result store.")
-
-let bytes_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun m -> `Msg m) (Chex86_harness.Cli.parse_bytes s)),
-      Format.pp_print_int )
-
-let store_max_bytes_arg =
-  Arg.(
-    value
-    & opt (some bytes_conv) None
-    & info [ "store-max-bytes" ] ~docv:"BYTES"
-        ~doc:
-          "Result-store size budget with oldest-first eviction (K/M/G suffixes \
-           accepted; entries used by the running sweep are never evicted). \
-           Default: no eviction.")
-
-let trace_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write structured span events (JSONL) to $(docv); inspect with \
-           $(b,chex86_sim trace-summary). Off by default; merged sweep stats \
-           are bit-identical either way.")
-
-let metrics_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Dump the merged sweep counters and histograms to $(docv) as one \
-           JSON object at exit.")
-
-(* Apply the sweep knobs to the process-wide state, arming the
-   fault-injection plan from the environment like the other binaries. *)
-let apply_sweep_knobs jobs batch_size strict _keep_going retries task_timeout cache_dir
-    no_cache store_max_bytes trace_file metrics_file =
-  let module Pool = Chex86_harness.Pool in
-  Pool.set_jobs jobs;
-  Pool.set_batch_size batch_size;
-  Pool.set_strict strict;
-  Pool.set_retries retries;
-  Pool.set_task_timeout task_timeout;
-  if no_cache then Runner.Store.disable () else Runner.Store.configure ~dir:cache_dir;
-  Runner.Store.set_max_bytes store_max_bytes;
-  Chex86_harness.Trace.set_output trace_file;
-  Chex86_harness.Trace.set_metrics metrics_file;
-  match Chex86_harness.Faultinject.arm_from_env () with
-  | Ok _ -> ()
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
-
 let counters_arg =
   Arg.(value & flag & info [ "counters" ] ~doc:"Dump all event counters after the run.")
 
@@ -256,34 +125,6 @@ let list_cmd =
       Chex86_workloads.Workloads.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List available workloads.") Term.(const list $ const ())
-
-let experiment_cmd =
-  let targets = Chex86_harness.Experiments.all @ Chex86_harness.Ablations.all in
-  let names = List.map fst targets in
-  let experiment cpu jobs batch_size strict keep_going retries task_timeout cache_dir
-      no_cache store_max_bytes trace_file metrics_file name =
-    Chex86_machine.Preset.set cpu;
-    apply_sweep_knobs jobs batch_size strict keep_going retries task_timeout cache_dir
-      no_cache store_max_bytes trace_file metrics_file;
-    match List.assoc_opt name targets with
-    | Some f ->
-      print_endline (f ());
-      Chex86_harness.Cli.exit_for_faults ()
-    | None ->
-      Printf.eprintf "unknown experiment %S (one of: %s)\n" name
-        (String.concat ", " names);
-      exit 1
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
-  in
-  Cmd.v
-    (Cmd.info "experiment"
-       ~doc:"Regenerate one of the paper's tables/figures (figure1..9, table1..4, security).")
-    Term.(
-      const experiment $ cpu_arg $ jobs_arg $ batch_size_arg $ strict_arg $ keep_going_arg
-      $ retries_arg $ task_timeout_arg $ cache_dir_arg $ no_cache_arg
-      $ store_max_bytes_arg $ trace_file_arg $ metrics_file_arg $ name_arg)
 
 (* Print the instrumented micro-op stream of a workload's first N
    macro-ops: what the decoder cracked and what the microcode
@@ -564,7 +405,7 @@ let presets_cmd =
     (Cmd.info "presets" ~doc:"List the registered \xc2\xb5arch presets and their ids.")
     Term.(const show $ const ())
 
-(* Offline maintenance of the on-disk result store: stats / gc / fsck.
+(* Offline maintenance of the on-disk result store: stats / fsck.
    These operate on an explicit directory and never require a sweep. *)
 let store_cmd =
   let store_dir_arg =
@@ -591,30 +432,6 @@ let store_cmd =
     Cmd.v
       (Cmd.info "stats" ~doc:"Report entry/byte counts for a store directory.")
       Term.(const stats $ store_dir_arg)
-  in
-  let gc_cmd =
-    let gc dir max_bytes =
-      require_dir dir;
-      let r = Runner.Store.gc ~dir ?max_bytes () in
-      Printf.printf "tmp reclaimed:      %d\n" r.Runner.Store.g_tmp_reclaimed;
-      Printf.printf "evicted:            %d (%d bytes)\n" r.Runner.Store.g_evicted
-        r.Runner.Store.g_evicted_bytes;
-      Printf.printf "remaining:          %d entries (%d bytes)\n"
-        r.Runner.Store.g_entries r.Runner.Store.g_bytes
-    in
-    let max_bytes_arg =
-      Arg.(
-        value
-        & opt (some bytes_conv) None
-        & info [ "store-max-bytes" ] ~docv:"BYTES"
-            ~doc:"Evict oldest-first down to this budget (K/M/G suffixes accepted).")
-    in
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:
-           "Reclaim stale tmp files and (with $(b,--store-max-bytes)) evict \
-            oldest-first down to a size budget.")
-      Term.(const gc $ store_dir_arg $ max_bytes_arg)
   in
   let fsck_cmd =
     let fsck dir out =
@@ -663,7 +480,7 @@ let store_cmd =
   in
   Cmd.group
     (Cmd.info "store" ~doc:"Inspect and maintain the on-disk result store.")
-    [ stats_cmd; gc_cmd; fsck_cmd ]
+    [ stats_cmd; fsck_cmd ]
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -675,7 +492,6 @@ let () =
           [
             run_cmd;
             list_cmd;
-            experiment_cmd;
             uops_cmd;
             trace_frontend_cmd;
             trace_gen_cmd;

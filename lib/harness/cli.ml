@@ -1,7 +1,7 @@
-(* Shared flag parsing for the hand-rolled sweep executables
-   (bench/main.exe, security_eval).  chex86_sim is cmdliner-based and
-   declares the same flags natively; both paths end up setting the same
-   process-wide knobs (Pool.set_jobs/set_strict/..., Runner.Store). *)
+(* The one parser of the sweep flags, shared by the two sweep
+   executables (bench/main.exe, security_eval).  Every flag sets a
+   process-wide knob (Pool.set_jobs/set_strict/..., Runner.Store,
+   Remote, Trace). *)
 
 let die fmt =
   Printf.ksprintf
@@ -19,8 +19,6 @@ let common_flags_doc =
   \  --task-timeout S    per-task wall budget in seconds (cooperative)\n\
   \  --cache-dir DIR     on-disk result store location (default _chex86_cache)\n\
   \  --no-cache          disable the on-disk result store\n\
-  \  --store-max-bytes B store size budget with oldest-first eviction\n\
-  \                      (accepts K/M/G suffixes; default: no eviction)\n\
   \  --cpu PRESET        select the \xc2\xb5arch preset (skylake, nehalem, tiny)\n\
   \  --workers N         shard sweeps over N spawned worker processes (0 = off)\n\
   \  --heartbeat S       worker liveness deadline in seconds (default 30)\n\
@@ -80,29 +78,6 @@ let set_heartbeat value =
   | Some s when s > 0. -> Remote.set_heartbeat s
   | _ -> die "invalid --heartbeat value %S (expected seconds > 0)" value
 
-(* "64M" / "1G" / plain bytes.  Exposed so chex86_sim's cmdliner
-   converter shares the one parser. *)
-let parse_bytes value =
-  let fail () = Error (Printf.sprintf "invalid size %S (expected BYTES with optional K/M/G suffix)" value) in
-  if value = "" then fail ()
-  else
-    let n = String.length value in
-    let mult, digits =
-      match value.[n - 1] with
-      | 'k' | 'K' -> (1024, String.sub value 0 (n - 1))
-      | 'm' | 'M' -> (1024 * 1024, String.sub value 0 (n - 1))
-      | 'g' | 'G' -> (1024 * 1024 * 1024, String.sub value 0 (n - 1))
-      | _ -> (1, value)
-    in
-    match int_of_string_opt digits with
-    | Some b when b >= 0 && b <= max_int / mult -> Ok (b * mult)
-    | _ -> fail ()
-
-let set_store_max_bytes value =
-  match parse_bytes value with
-  | Ok b -> Runner.Store.set_max_bytes (Some b)
-  | Error msg -> die "invalid --store-max-bytes value: %s" msg
-
 (* Strip the common sweep flags out of [args], applying each to the
    process-wide knobs; whatever remains is returned for the caller's own
    parsing.  Also arms the fault-injection plan from the environment
@@ -143,10 +118,6 @@ let parse_common args =
     | "--no-cache" :: rest ->
       cache_dir := None;
       go rest
-    | "--store-max-bytes" :: value :: rest ->
-      set_store_max_bytes value;
-      go rest
-    | "--store-max-bytes" :: [] -> die "missing value for --store-max-bytes"
     | "--workers" :: value :: rest ->
       workers := Some (parse_workers value);
       go rest

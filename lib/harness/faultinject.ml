@@ -80,7 +80,7 @@ let describe () = (!current).describe
 (* --- named injection points ------------------------------------------------
 
    Key-driven plans fire per *task*; named points fire per *code
-   location* — a specific line of the store's publish/evict/quarantine
+   location* — a specific line of the store's publish/quarantine
    machinery. The chaos soak uses them to SIGKILL a sweep at a chosen
    store operation and ordinal ([CHEX86_FAULT_POINT=
    store.publish.pre_rename=kill@3] kills the process the third time
@@ -113,7 +113,6 @@ let known_points =
     "store.publish.mid_write";
     "store.publish.pre_rename";
     "store.publish.post_rename";
-    "store.evict.pre_unlink";
     "store.quarantine.pre_rename";
   ]
 

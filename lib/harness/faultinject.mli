@@ -60,7 +60,7 @@ val describe : unit -> string
 (** {2 Named injection points}
 
     Key plans fire per task; named points fire per {e code location} —
-    a specific line of the result store's publish / evict / quarantine
+    a specific line of the result store's publish / quarantine
     protocol. The kill/resume chaos soak uses them to SIGKILL a sweep
     at a chosen store operation and arrival ordinal, machine-checking
     the crash-safety invariants at every point of the protocol.

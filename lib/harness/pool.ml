@@ -148,10 +148,6 @@ let run_indexed ~jobs n compute =
     slots;
   Array.map (function Some (Ok v) -> v | _ -> assert false) slots
 
-let map ?jobs:j f tasks =
-  let jobs = match j with Some j -> max 1 j | None -> jobs () in
-  run_indexed ~jobs (Array.length tasks) (fun ~slot:_ i -> f tasks.(i))
-
 (* --- keyed tasks with private stats -------------------------------------- *)
 
 type ctx = {

@@ -12,12 +12,9 @@
     wedged task run forever. *)
 val now : unit -> float
 
-(** [Domain.recommended_domain_count () - 1], at least 1. *)
-val default_jobs : unit -> int
-
 (** Process-wide job count used when [?jobs] is omitted; starts at
-    [default_jobs ()], set once from the CLI ([--jobs N]). Clamped to
-    at least 1. *)
+    [Domain.recommended_domain_count () - 1] (at least 1), set once from
+    the CLI ([--jobs N]). Clamped to at least 1. *)
 val set_jobs : int -> unit
 
 val jobs : unit -> int
@@ -62,13 +59,6 @@ val seed_of_key : string -> int
 (** A fresh RNG stream seeded from the task key, independent of worker
     identity and scheduling order. *)
 val rng_of_key : string -> Chex86_stats.Rng.t
-
-(** [map ~jobs f tasks] computes [f] over [tasks]; results are returned
-    in task order. [~jobs:1] (or a single task) runs everything in the
-    calling domain in index order — the exact serial path, no domain is
-    spawned. A task exception is re-raised in the caller,
-    deterministically picking the lowest-index failure. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Per-task context: a private counter group and named histograms no
     other task can see, plus an RNG seeded from the task key. *)

@@ -207,7 +207,6 @@ module Store = struct
   let format_version = "chex86-store-v2"
 
   let dir_ref : string option Atomic.t = Atomic.make None
-  let max_bytes_ref : int option Atomic.t = Atomic.make None
   let hits = Atomic.make 0
   let misses = Atomic.make 0
   let writes = Atomic.make 0
@@ -215,7 +214,6 @@ module Store = struct
   let tmp_reclaimed = Atomic.make 0
   let quarantined = Atomic.make 0
   let race_lost = Atomic.make 0
-  let evicted = Atomic.make 0
   let write_errors = Atomic.make 0
   let degraded = Atomic.make false
 
@@ -227,7 +225,6 @@ module Store = struct
     tmp_reclaimed : int;
     quarantined : int;
     race_lost : int;
-    evicted : int;
     write_errors : int;
     degraded : bool;
   }
@@ -241,7 +238,6 @@ module Store = struct
       tmp_reclaimed = Atomic.get tmp_reclaimed;
       quarantined = Atomic.get quarantined;
       race_lost = Atomic.get race_lost;
-      evicted = Atomic.get evicted;
       write_errors = Atomic.get write_errors;
       degraded = Atomic.get degraded;
     }
@@ -254,7 +250,6 @@ module Store = struct
     Atomic.set tmp_reclaimed 0;
     Atomic.set quarantined 0;
     Atomic.set race_lost 0;
-    Atomic.set evicted 0;
     Atomic.set write_errors 0;
     Atomic.set degraded false
 
@@ -351,16 +346,6 @@ module Store = struct
      re-listing the tree each time would turn writes quadratic. *)
   let swept = Atomic.make false
 
-  (* Entries this process has touched (hit or published) since the last
-     [configure]/[clear_pins]: the in-flight sweep depends on them, so
-     eviction must not take them out from under it. Keyed by entry
-     basename — unique per (key, program digest). *)
-  let pins : (string, unit) Hashtbl.t = Hashtbl.create 64
-  let pins_lock = Mutex.create ()
-  let pin name = Mutex.protect pins_lock (fun () -> Hashtbl.replace pins name ())
-  let pinned name = Mutex.protect pins_lock (fun () -> Hashtbl.mem pins name)
-  let clear_pins () = Mutex.protect pins_lock (fun () -> Hashtbl.reset pins)
-
   (* Entries that failed to quarantine (read-only store): remembered so
      a corrupt entry is not re-read and re-warned every load. *)
   let bad : (string, unit) Hashtbl.t = Hashtbl.create 8
@@ -369,19 +354,12 @@ module Store = struct
   let is_bad path = Mutex.protect bad_lock (fun () -> Hashtbl.mem bad path)
   let clear_bad () = Mutex.protect bad_lock (fun () -> Hashtbl.reset bad)
 
-  (* Running estimate of the store's published bytes; -1 = unknown (the
-     next eviction check re-scans). Only consulted when a budget is
-     armed. *)
-  let approx_bytes = Atomic.make (-1)
-
   (* The directory itself is created on first write, so enabling the
      store in a binary that never saves leaves no empty directory. *)
   let configure ~dir =
     Atomic.set dir_ref (Some dir);
     Atomic.set swept false;
-    Atomic.set approx_bytes (-1);
     Atomic.set degraded false;
-    clear_pins ();
     clear_bad ();
     if Sys.file_exists dir then begin
       Atomic.set swept true;
@@ -398,8 +376,6 @@ module Store = struct
   let disable () = Atomic.set dir_ref None
   let enabled () = Option.is_some (Atomic.get dir_ref)
   let dir () = Atomic.get dir_ref
-  let set_max_bytes b = Atomic.set max_bytes_ref (Option.map (max 0) b)
-  let max_bytes () = Atomic.get max_bytes_ref
 
   (* Key scheme: a human-greppable sanitized prefix of the memo key plus
      a digest over (key, program digest) that actually disambiguates;
@@ -549,8 +525,7 @@ module Store = struct
     | Some (Faultinject.Errno e) -> raise (Unix.Unix_error (e, "write", dst))
     | _ -> ()
 
-  (* Publish [payload] for entry [name]; returns [true] if this
-     process's write is the one now on disk. *)
+  (* Publish [payload] as the entry at [v2_path]. *)
   let publish d ~key ~v2_path payload =
     let name = Filename.basename v2_path in
     let shard_dir = Filename.dirname v2_path in
@@ -606,78 +581,7 @@ module Store = struct
          (key, digest): their entry is as good as ours — a hit. *)
       Atomic.incr race_lost;
       if Trace.on () then Trace.instant ~stage:"store.race_lost" [ ("key", key) ]
-    end;
-    pin name;
-    (won, String.length body)
-
-  (* --- eviction ------------------------------------------------------------ *)
-
-  (* Published entries across the whole tree as (path, bytes, mtime). *)
-  let scan_entries d =
-    let acc = ref [] in
-    let add dir name =
-      if is_entry_name name then begin
-        let path = Filename.concat dir name in
-        match Unix.stat path with
-        | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-          acc := (path, st_size, st_mtime) :: !acc
-        | _ | (exception Unix.Unix_error _) -> ()
-      end
-    in
-    List.iter
-      (fun dir ->
-        match Sys.readdir dir with
-        | names -> Array.iter (add dir) names
-        | exception Sys_error _ -> ())
-      (entry_dirs d);
-    !acc
-
-  (* Oldest-first size eviction down to [budget]; entries pinned by the
-     in-flight sweep are never candidates.  Returns (evicted, bytes
-     freed). *)
-  let evict_to_budget d ~budget =
-    let entries = scan_entries d in
-    let total = List.fold_left (fun a (_, s, _) -> a + s) 0 entries in
-    Atomic.set approx_bytes total;
-    if total <= budget then (0, 0)
-    else begin
-      let by_age = List.sort (fun (_, _, a) (_, _, b) -> compare a b) entries in
-      let freed = ref 0 and count = ref 0 in
-      List.iter
-        (fun (path, size, _) ->
-          if total - !freed > budget && not (pinned (Filename.basename path)) then begin
-            ignore (Faultinject.at_point "store.evict.pre_unlink");
-            match Sys.remove path with
-            | () ->
-              freed := !freed + size;
-              incr count;
-              Atomic.incr evicted;
-              if Trace.on () then
-                Trace.instant ~stage:"store.evict"
-                  [ ("entry", Filename.basename path); ("bytes", string_of_int size) ]
-            | exception Sys_error _ -> ()
-          end)
-        by_age;
-      Atomic.set approx_bytes (total - !freed);
-      if total - !freed > budget then
-        warn "store still %d bytes over budget after eviction (all remaining entries pinned)"
-          (total - !freed - budget);
-      (!count, !freed)
     end
-
-  let maybe_evict d ~published_bytes =
-    match max_bytes () with
-    | None -> ()
-    | Some budget ->
-      let approx = Atomic.get approx_bytes in
-      let approx =
-        if approx < 0 then approx
-        else begin
-          ignore (Atomic.fetch_and_add approx_bytes published_bytes);
-          approx + published_bytes
-        end
-      in
-      if approx < 0 || approx > budget then ignore (evict_to_budget d ~budget)
 
   (* --- load / save --------------------------------------------------------- *)
 
@@ -685,8 +589,7 @@ module Store = struct
     Atomic.incr misses;
     if Trace.on () then Trace.instant ~stage:"store.miss" [ ("key", key) ]
 
-  let note_hit ~key name =
-    pin name;
+  let note_hit ~key =
     Atomic.incr hits;
     if Trace.on () then Trace.instant ~stage:"store.hit" [ ("key", key) ]
 
@@ -702,26 +605,20 @@ module Store = struct
         Trace.instant ~stage:"store.degraded" [ ("error", Printexc.to_string e) ]
     end
 
-  let save_internal d ~key payload ~v2_path =
-    if not (Atomic.get degraded) then begin
+  let save ~key ~digest run =
+    match dir () with
+    | Some d when not (Atomic.get degraded) -> (
+      let payload = Marshal.to_string (run : run) [] in
       try
         ensure_dir d;
-        let won, entry_bytes = publish d ~key ~v2_path payload in
-        if won then maybe_evict d ~published_bytes:entry_bytes
+        publish d ~key ~v2_path:(entry_path_in d ~key ~digest) payload
       with
       | Unix.Unix_error ((Unix.ENOSPC | Unix.EROFS | Unix.EACCES), _, _) as e ->
         degrade_writes e
       | e ->
         Atomic.incr write_errors;
-        warn "failed to write entry for %s (%s)" key (Printexc.to_string e)
-    end
-
-  let save ~key ~digest run =
-    match dir () with
-    | None -> ()
-    | Some d ->
-      save_internal d ~key (Marshal.to_string (run : run) [])
-        ~v2_path:(entry_path_in d ~key ~digest)
+        warn "failed to write entry for %s (%s)" key (Printexc.to_string e))
+    | _ -> ()
 
   let load ~key ~digest : run option =
     match dir () with
@@ -736,7 +633,7 @@ module Store = struct
       else
         match parse_file path with
         | Ok run ->
-          note_hit ~key (Filename.basename path);
+          note_hit ~key;
           Some run
         | Error (`Corrupt reason) ->
           quarantine_entry d path reason;
@@ -746,7 +643,26 @@ module Store = struct
           note_miss ~key;
           None)
 
-  (* --- offline maintenance: stats / gc / fsck ------------------------------ *)
+  (* --- offline maintenance: stats / fsck ----------------------------------- *)
+
+  (* Published entries across the whole tree as (path, bytes). *)
+  let scan_entries d =
+    let acc = ref [] in
+    let add dir name =
+      if is_entry_name name then begin
+        let path = Filename.concat dir name in
+        match Unix.stat path with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> acc := (path, st_size) :: !acc
+        | _ | (exception Unix.Unix_error _) -> ()
+      end
+    in
+    List.iter
+      (fun dir ->
+        match Sys.readdir dir with
+        | names -> Array.iter (add dir) names
+        | exception Sys_error _ -> ())
+      (entry_dirs d);
+    !acc
 
   type disk_stats = {
     d_entries : int;
@@ -769,36 +685,9 @@ module Store = struct
     in
     {
       d_entries = List.length entries;
-      d_bytes = List.fold_left (fun a (_, s, _) -> a + s) 0 entries;
+      d_bytes = List.fold_left (fun a (_, s) -> a + s) 0 entries;
       d_tmp = tmp;
       d_quarantine = count_dir (quarantine_dir d) (fun _ -> true);
-    }
-
-  type gc_report = {
-    g_entries : int;  (* entries remaining after the pass *)
-    g_bytes : int;  (* bytes remaining after the pass *)
-    g_evicted : int;
-    g_evicted_bytes : int;
-    g_tmp_reclaimed : int;
-  }
-
-  (* Explicit maintenance pass: reclaim stale tmp files, then evict
-     oldest-first to [max_bytes] if a budget is given (the process-wide
-     budget applies otherwise). *)
-  let gc ~dir:d ?max_bytes:budget () =
-    let tmp_before = Atomic.get tmp_reclaimed in
-    reclaim_tmp d;
-    let budget = match budget with Some _ as b -> b | None -> max_bytes () in
-    let evicted_n, evicted_b =
-      match budget with None -> (0, 0) | Some budget -> evict_to_budget d ~budget
-    in
-    let entries = scan_entries d in
-    {
-      g_entries = List.length entries;
-      g_bytes = List.fold_left (fun a (_, s, _) -> a + s) 0 entries;
-      g_evicted = evicted_n;
-      g_evicted_bytes = evicted_b;
-      g_tmp_reclaimed = Atomic.get tmp_reclaimed - tmp_before;
     }
 
   type fsck_issue = { f_path : string; f_problem : string }
@@ -1006,38 +895,8 @@ let compute_run ~key ?(timing = true) ?(profile = false) ?configure config progr
       Store.save ~key ~digest run;
       run)
 
-let run_workload ?(tag = "") ?(timing = true) ?(profile = false) ?configure ~scale config
-    (w : Chex86_workloads.Bench_spec.t) =
-  let key =
-    Printf.sprintf "%s/%s/%s/%d/%b/%b/%s" w.name (preset_tag ()) (config_name config)
-      scale timing profile tag
-  in
-  match memo_find key with
-  | Some run -> run
-  | None ->
-    let run = compute_run ~key ~timing ~profile ?configure config (w.build ~scale) in
-    memo_publish key run
-
-(* [run_workload] that reports instead of running when a supervised
-   prefetch already classified this job as faulted. *)
-let run_workload_result ?(tag = "") ?(timing = true) ?(profile = false) ?configure ~scale
-    config (w : Chex86_workloads.Bench_spec.t) =
-  let key =
-    Printf.sprintf "%s/%s/%s/%d/%b/%b/%s" w.name (preset_tag ()) (config_name config)
-      scale timing profile tag
-  in
-  match memo_find key with
-  | Some run -> Ok run
-  | None -> (
-    match fault_find key with
-    | Some fault -> Error fault
-    | None ->
-      Ok
-        (memo_publish key
-           (compute_run ~key ~timing ~profile ?configure config (w.build ~scale))))
-
-(* --- parallel prefetch ---------------------------------------------------- *)
-
+(* A (workload x config) simulation task; its [job_key] is the memo key
+   of [run_workload], the store key, and the task key of a prefetch. *)
 type job = {
   j_workload : Chex86_workloads.Bench_spec.t;
   j_config : config;
@@ -1054,6 +913,32 @@ let job ?(tag = "") ?(timing = true) ?(profile = false) ~scale config workload =
 let job_key j =
   Printf.sprintf "%s/%s/%s/%d/%b/%b/%s" j.j_workload.name (preset_tag ())
     (config_name j.j_config) j.j_scale j.j_timing j.j_profile j.j_tag
+
+let run_workload ?tag ?(timing = true) ?(profile = false) ?configure ~scale config
+    (w : Chex86_workloads.Bench_spec.t) =
+  let key = job_key (job ?tag ~timing ~profile ~scale config w) in
+  match memo_find key with
+  | Some run -> run
+  | None ->
+    let run = compute_run ~key ~timing ~profile ?configure config (w.build ~scale) in
+    memo_publish key run
+
+(* [run_workload] that reports instead of running when a supervised
+   prefetch already classified this job as faulted. *)
+let run_workload_result ?tag ?(timing = true) ?(profile = false) ?configure ~scale
+    config (w : Chex86_workloads.Bench_spec.t) =
+  let key = job_key (job ?tag ~timing ~profile ~scale config w) in
+  match memo_find key with
+  | Some run -> Ok run
+  | None -> (
+    match fault_find key with
+    | Some fault -> Error fault
+    | None ->
+      Ok
+        (memo_publish key
+           (compute_run ~key ~timing ~profile ?configure config (w.build ~scale))))
+
+(* --- parallel prefetch ---------------------------------------------------- *)
 
 (* Simulate the not-yet-memoized jobs on the domain pool and publish the
    results into the memo in job order; subsequent [run_workload] calls
@@ -1151,7 +1036,6 @@ let () =
                 ("tmp_reclaimed", Json.Int s.Store.tmp_reclaimed);
                 ("quarantined", Json.Int s.Store.quarantined);
                 ("race_lost", Json.Int s.Store.race_lost);
-                ("evicted", Json.Int s.Store.evicted);
                 ("write_errors", Json.Int s.Store.write_errors);
                 ("degraded", Json.Bool s.Store.degraded);
               ] );

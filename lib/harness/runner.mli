@@ -73,25 +73,20 @@ val run_threads :
     entries and two processes racing on one key are benign (the loser
     counts [race_lost] — a hit in effect). Corrupt entries are
     quarantined into [quarantine/] with a warning and re-simulated —
-    never a crash. A [--store-max-bytes] budget evicts oldest-first,
-    never touching entries the in-flight sweep has pinned. On
-    ENOSPC/EROFS writes degrade to memo-only so the sweep completes. *)
+    never a crash. The store has no size budget: entries are ~1.4 KB
+    each, so a full figure-6 sweep stores about 115 KB. On ENOSPC/EROFS
+    writes degrade to memo-only so the sweep completes. *)
 module Store : sig
   val default_dir : string
   (** ["_chex86_cache"] *)
 
-  (** Enable the store; [dir] is created on first write. Clears pins
-      and resets the degradation latch. *)
+  (** Enable the store; [dir] is created on first write. Resets the
+      degradation latch and reclaims stale tmp files already in [dir]. *)
   val configure : dir:string -> unit
 
   val disable : unit -> unit
   val enabled : unit -> bool
   val dir : unit -> string option
-
-  (** Size budget for eviction; [None] (the default) never evicts. *)
-  val set_max_bytes : int option -> unit
-
-  val max_bytes : unit -> int option
 
   type stats = {
     hits : int;
@@ -103,7 +98,6 @@ module Store : sig
             liveness {e and} a safety age (pid reuse) *)
     quarantined : int;  (** corrupt entries moved into [quarantine/] *)
     race_lost : int;  (** publishes beaten by a concurrent writer *)
-    evicted : int;  (** entries removed by the size budget *)
     write_errors : int;  (** failed entry writes (any cause) *)
     degraded : bool;  (** store is memo-only after ENOSPC/EROFS *)
   }
@@ -121,14 +115,10 @@ module Store : sig
       [None] when the store is disabled. *)
   val entry_path : key:string -> digest:string -> string option
 
-  (** Forget the entries pinned by this process, making them eviction
-      candidates again (tests / end of sweep). *)
-  val clear_pins : unit -> unit
-
   (** {3 Offline maintenance}
 
       These operate on an explicit [dir] and do not require the store
-      to be [configure]d; [chex86_sim store stats|gc|fsck] wraps them. *)
+      to be [configure]d; [chex86_sim store stats|fsck] wraps them. *)
 
   type disk_stats = {
     d_entries : int;
@@ -138,18 +128,6 @@ module Store : sig
   }
 
   val disk_stats : dir:string -> disk_stats
-
-  type gc_report = {
-    g_entries : int;  (** entries remaining after the pass *)
-    g_bytes : int;  (** bytes remaining after the pass *)
-    g_evicted : int;
-    g_evicted_bytes : int;
-    g_tmp_reclaimed : int;
-  }
-
-  (** Reclaim stale tmp files, then evict oldest-first to [?max_bytes]
-      (defaults to the process-wide budget; no budget = no eviction). *)
-  val gc : dir:string -> ?max_bytes:int -> unit -> gc_report
 
   type fsck_issue = { f_path : string; f_problem : string }
 
@@ -210,7 +188,7 @@ val run_workload_result :
   (run, Pool.fault) result
 
 (** A (workload x config) simulation task for the parallel prefetcher;
-    the fields mirror [run_workload]'s memo key. *)
+    [job_key] of the matching job is [run_workload]'s memo key. *)
 type job
 
 val job :

@@ -173,6 +173,14 @@ let sweep_configs =
 
 let sweep_workloads = [ "mcf"; "swaptions"; "canneal" ]
 
+(* [Pool.sweep]'s per-task values, in task order; a faulted task fails
+   the test (checked in the main domain, after the sweep). *)
+let sweep_values ?batch_size ~jobs ~key f tasks =
+  let results, _, _ = Pool.sweep ?batch_size ~jobs ~key (fun task _ctx -> f task) tasks in
+  Array.map
+    (function Ok v -> v | Error fault -> Alcotest.fail (Pool.fault_to_string fault))
+    results
+
 (* All 6 variants on 3 representative workloads, simulated through the
    pool (bypassing the memo) at jobs=1 and jobs=4: every counter,
    histogram-backed stat and cycle count must be bit-identical. *)
@@ -187,8 +195,9 @@ let test_sweep_determinism () =
   let simulate (wname, _, config) =
     Runner.run_program config ((W.find wname).build ~scale:1)
   in
-  let serial = Pool.map ~jobs:1 simulate tasks in
-  let parallel = Pool.map ~jobs:4 simulate tasks in
+  let key (wname, cname, _) = wname ^ "/" ^ cname in
+  let serial = sweep_values ~jobs:1 ~key simulate tasks in
+  let parallel = sweep_values ~jobs:4 ~key simulate tasks in
   Array.iteri
     (fun i (wname, cname, _) ->
       check_run_equal (wname ^ "/" ^ cname) serial.(i) parallel.(i))
@@ -251,20 +260,31 @@ let test_security_sweep_determinism () =
    neither task results nor merged stats may depend on the job count. *)
 let test_pool_ctx_determinism () =
   let tasks = Array.init 32 (fun i -> Printf.sprintf "task-%02d" i) in
+  (* The body runs on worker domains, where Alcotest's reporter is not
+     safe to call: it returns whether ctx carried the task key, and the
+     main domain checks that after the sweep. *)
   let body key (ctx : Pool.ctx) =
-    Alcotest.(check string) "ctx carries the task key" key ctx.Pool.key;
     let draws = List.init 16 (fun _ -> Rng.int ctx.Pool.rng 1000) in
     List.iter
       (fun v ->
         Counter.incr ~by:v ctx.Pool.counters "drawn.sum";
         Histogram.add (ctx.Pool.histogram "drawn") v)
       draws;
-    draws
+    (key = ctx.Pool.key, draws)
+  in
+  let completed label results =
+    Array.map
+      (function
+        | Ok (same_key, draws) ->
+          Alcotest.(check bool) (label ^ ": ctx carries the task key") true same_key;
+          draws
+        | Error f -> Alcotest.failf "%s: task faulted: %s" label (Pool.fault_to_string f))
+      results
   in
   let serial, sstats, _ = Pool.sweep ~jobs:1 ~key:Fun.id body tasks in
   let parallel, pstats, _ = Pool.sweep ~jobs:4 ~key:Fun.id body tasks in
-  Alcotest.(check bool) "every task completed" true (Array.for_all Result.is_ok serial);
-  Alcotest.(check bool) "identical per-task RNG draws" true (serial = parallel);
+  Alcotest.(check bool) "identical per-task RNG draws" true
+    (completed "serial" serial = completed "jobs=4" parallel);
   Alcotest.(check (list (pair string int)))
     "identical merged counters"
     (drop_chunks (Counter.to_list sstats.Pool.counters))
@@ -543,7 +563,8 @@ let test_memo_domain_safety () =
         (wname, config))
   in
   let results =
-    Pool.map ~jobs:4
+    sweep_values ~jobs:4 ~batch_size:1
+      ~key:(fun (wname, config) -> wname ^ "/" ^ Runner.config_name config)
       (fun (wname, config) ->
         Runner.run_workload ~tag:"memo-race" ~timing:false ~scale:1 config (W.find wname))
       tasks
@@ -568,7 +589,7 @@ let test_rng_streams_domain_independent () =
     List.init 64 (fun _ -> Rng.next_int64 rng)
   in
   let serial = Array.map draw seeds in
-  let parallel = Pool.map ~jobs:4 draw seeds in
+  let parallel = sweep_values ~jobs:4 ~batch_size:1 ~key:string_of_int draw seeds in
   Alcotest.(check bool) "identical streams" true (serial = parallel)
 
 (* Pool.seed_of_key is part of the determinism contract: pin it. *)
@@ -579,16 +600,30 @@ let test_seed_of_key_stable () =
     (Pool.seed_of_key "mcf/insecure");
   Alcotest.(check bool) "non-negative" true (Pool.seed_of_key "" >= 0)
 
-(* Pool.map must preserve task order and propagate failures
-   deterministically (lowest-index failure wins). *)
-let test_pool_map_basics () =
+(* Pool.run_chunks must return results in task order, and re-raise an
+   exception from a chunk body deterministically: the lowest-index
+   failure wins, whichever slot ran into it first. *)
+let test_run_chunks_basics () =
   let tasks = Array.init 100 (fun i -> i) in
-  let doubled = Pool.map ~jobs:4 (fun i -> 2 * i) tasks in
+  (* With [~fail_at:n], the body of every chunk holding a task >= n
+     raises, naming that chunk's first such task. *)
+  let doubled ?(fail_at = max_int) () =
+    let results, _, _ =
+      Pool.run_chunks ~jobs:4 ~batch_size:3 ~key:string_of_int
+        (fun ~slot:_ ~chunk:_ ~start ~len ->
+          if start + len > fail_at then failwith (string_of_int (max start fail_at));
+          Array.init len (fun k ->
+              let i = tasks.(start + k) in
+              Pool.run_task ~retries:0 ~timeout:None ~key:(string_of_int i) (fun _ -> 2 * i)))
+        tasks
+    in
+    results
+  in
   Alcotest.(check bool) "order preserved" true
-    (doubled = Array.init 100 (fun i -> 2 * i));
+    (doubled () = Array.init 100 (fun i -> Ok (2 * i)));
   let exn =
     try
-      ignore (Pool.map ~jobs:4 (fun i -> if i >= 40 then failwith (string_of_int i) else i) tasks);
+      ignore (doubled ~fail_at:40 ());
       None
     with Failure msg -> Some msg
   in
@@ -614,7 +649,7 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "map basics" `Quick test_pool_map_basics;
+          Alcotest.test_case "map basics" `Quick test_run_chunks_basics;
           Alcotest.test_case "seed_of_key stable" `Quick test_seed_of_key_stable;
           Alcotest.test_case "ctx determinism" `Quick test_pool_ctx_determinism;
         ] );

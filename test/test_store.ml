@@ -1,13 +1,11 @@
 (* Tests for the v2 content-addressed result store: sharded layout,
-   legacy v1 entries never served, race-lost-is-a-hit publish, eviction with
-   pinning, quarantine, ENOSPC degradation, fsck, fault-point / env
-   validation, the Remote backoff cap, and the multi-process writer
-   hammer. *)
+   legacy v1 entries never served, race-lost-is-a-hit publish,
+   quarantine, ENOSPC degradation, fsck, fault-point / env validation,
+   the Remote backoff cap, and the multi-process writer hammer. *)
 
 module Runner = Chex86_harness.Runner
 module Store = Runner.Store
 module Faultinject = Chex86_harness.Faultinject
-module Cli = Chex86_harness.Cli
 
 let store_dir = "_test_store_cache"
 
@@ -26,11 +24,9 @@ let with_store f =
   Faultinject.disarm_points ();
   rm_rf store_dir;
   Store.configure ~dir:store_dir;
-  Store.set_max_bytes None;
   Fun.protect
     ~finally:(fun () ->
       Faultinject.disarm_points ();
-      Store.set_max_bytes None;
       Store.disable ();
       rm_rf store_dir;
       Runner.reset_for_tests ())
@@ -127,66 +123,6 @@ let test_lost_race_is_a_hit () =
       Alcotest.(check int) "no write errors" 0 s.Store.write_errors;
       Alcotest.(check bool) "entry intact" true
         (Option.is_some (Store.load ~key:"contested" ~digest:"test")))
-
-(* --- eviction -------------------------------------------------------------- *)
-
-let entry_bytes () =
-  let r = Store.fsck ~dir:store_dir in
-  r.Store.f_bytes
-
-let test_eviction_respects_budget_and_pins () =
-  with_store (fun () ->
-      let keys = [ "ev-a"; "ev-b"; "ev-c"; "ev-d"; "ev-e" ] in
-      List.iteri (fun i key -> Store.save ~key ~digest:"test" (dummy_run i)) keys;
-      (* Age the entries oldest-first in list order. *)
-      List.iteri
-        (fun i key ->
-          let v2 = path_exn key in
-          let t = Unix.time () -. 1000. +. (10. *. float_of_int i) in
-          Unix.utimes v2 t t)
-        keys;
-      let total = entry_bytes () in
-      let per_entry = total / 5 in
-      let budget = (2 * per_entry) + (per_entry / 2) in
-      (* Everything is pinned by the in-flight "sweep" (this process
-         published them): the budget must not evict anything. *)
-      let r = Store.gc ~dir:store_dir ~max_bytes:budget () in
-      Alcotest.(check int) "pinned entries survive over-budget gc" 0 r.Store.g_evicted;
-      (* End of sweep: pins released, gc evicts oldest-first to budget. *)
-      Store.clear_pins ();
-      let r = Store.gc ~dir:store_dir ~max_bytes:budget () in
-      Alcotest.(check bool) "evicted down to budget" true (r.Store.g_bytes <= budget);
-      Alcotest.(check int) "three oldest evicted" 3 r.Store.g_evicted;
-      let survives key =
-        let v2 = path_exn key in
-        Sys.file_exists v2
-      in
-      Alcotest.(check bool) "oldest gone" false (survives "ev-a");
-      Alcotest.(check bool) "newest kept" true (survives "ev-e");
-      Alcotest.(check bool) "second newest kept" true (survives "ev-d"))
-
-let test_save_evicts_when_over_budget () =
-  with_store (fun () ->
-      Store.save ~key:"first" ~digest:"test" (dummy_run 0);
-      let per_entry = entry_bytes () in
-      (* Room for ~2 entries; the in-flight sweep keeps publishing. *)
-      Store.set_max_bytes (Some (2 * per_entry));
-      List.iteri
-        (fun i key -> Store.save ~key ~digest:"test" (dummy_run i))
-        [ "ev2-b"; "ev2-c"; "ev2-d" ];
-      (* All four entries are pinned (this process published them), so
-         nothing could be evicted — but the budget machinery must have
-         run without disturbing the sweep's own entries. *)
-      List.iter
-        (fun key ->
-          let v2 = path_exn key in
-          Alcotest.(check bool) (key ^ " still present") true (Sys.file_exists v2))
-        [ "first"; "ev2-b"; "ev2-c"; "ev2-d" ];
-      (* A later process with no pins gets the store back under budget. *)
-      Store.clear_pins ();
-      let r = Store.gc ~dir:store_dir ()  in
-      Alcotest.(check bool) "gc honors the process-wide budget" true
-        (r.Store.g_bytes <= 2 * per_entry))
 
 (* --- quarantine / degradation ----------------------------------------------- *)
 
@@ -385,18 +321,6 @@ let test_torn_point_never_publishes () =
       let r = Store.fsck ~dir:store_dir in
       Alcotest.(check bool) "fsck clean after quarantine" true (Store.fsck_clean r))
 
-(* --- CLI byte parsing ------------------------------------------------------- *)
-
-let test_parse_bytes () =
-  Alcotest.(check bool) "plain" true (Cli.parse_bytes "1024" = Ok 1024);
-  Alcotest.(check bool) "K" true (Cli.parse_bytes "4K" = Ok 4096);
-  Alcotest.(check bool) "M" true (Cli.parse_bytes "2M" = Ok (2 * 1024 * 1024));
-  Alcotest.(check bool) "G" true (Cli.parse_bytes "1G" = Ok (1024 * 1024 * 1024));
-  Alcotest.(check bool) "lowercase" true (Cli.parse_bytes "4k" = Ok 4096);
-  Alcotest.(check bool) "negative rejected" true (Result.is_error (Cli.parse_bytes "-1"));
-  Alcotest.(check bool) "garbage rejected" true (Result.is_error (Cli.parse_bytes "1Q"));
-  Alcotest.(check bool) "empty rejected" true (Result.is_error (Cli.parse_bytes ""))
-
 (* --- remote backoff cap ----------------------------------------------------- *)
 
 let test_backoff_cap_holds () =
@@ -494,13 +418,6 @@ let () =
             test_legacy_v1_entry_is_a_miss;
           Alcotest.test_case "lost race is a hit" `Quick test_lost_race_is_a_hit;
         ] );
-      ( "eviction",
-        [
-          Alcotest.test_case "budget + pinning" `Quick
-            test_eviction_respects_budget_and_pins;
-          Alcotest.test_case "in-sweep saves never evict own entries" `Quick
-            test_save_evicts_when_over_budget;
-        ] );
       ( "resilience",
         [
           Alcotest.test_case "corrupt entry quarantined" `Quick
@@ -521,7 +438,6 @@ let () =
         [
           Alcotest.test_case "env rejected loudly" `Quick test_env_validation_fails_loudly;
           Alcotest.test_case "point spec parsing" `Quick test_points_of_spec;
-          Alcotest.test_case "byte suffix parsing" `Quick test_parse_bytes;
         ] );
       ( "remote",
         [ Alcotest.test_case "backoff cap holds" `Quick test_backoff_cap_holds ] );

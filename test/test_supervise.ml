@@ -106,7 +106,7 @@ let test_retry_recovers_bit_identical () =
   (* Crash directives with a 1-attempt budget: the retry succeeds, and
      recovered results equal the unfaulted serial run exactly. *)
   let f x = (x * 7) + 3 in
-  let unfaulted = Pool.map ~jobs:1 f tasks_10 in
+  let unfaulted = Array.map f tasks_10 in
   let plan =
     Faultinject.of_list
       [
