@@ -3,9 +3,10 @@
 #   make check   build + full test suite + parallel smoke sweep
 #   make build   compile everything
 #   make test    dune runtest only
+#   make test-checked   dune runtest without -unsafe (bounds-checked)
 
-.PHONY: all build test bench smoke fault-smoke remote-smoke trace-smoke \
-	trace-frontend-smoke security-matrix store-smoke check clean
+.PHONY: all build test test-checked bench smoke fault-smoke remote-smoke \
+	trace-smoke trace-frontend-smoke security-matrix store-smoke check clean
 
 all: build
 
@@ -14,6 +15,12 @@ build:
 
 test:
 	dune runtest
+
+# Every suite again with array bounds checks on (the `checked` profile
+# of the root dune file drops -unsafe), built under _build_checked/ so
+# the default build stays as it is.
+test-checked:
+	dune runtest --profile checked --build-dir _build_checked
 
 # Simulator-throughput trajectory: times each (workload, variant) pair
 # end-to-end and writes BENCH_<n>.json at the next free index (committed

@@ -9,15 +9,12 @@
    counters filters the vast majority of loads that reload data values
    rather than spilled pointers, preventing destructive aliasing. *)
 
-type entry = {
-  mutable tag : int;
-  mutable last_pid : int;
-  mutable stride : int;
-  mutable conf : int;  (* 2-bit saturating *)
-}
-
+(* Entry [i] is slot [i] of four parallel int arrays (DESIGN.md §6). *)
 type t = {
-  entries : entry array;
+  tags : int array;
+  last_pids : int array;
+  strides : int array;
+  confs : int array;  (* 2-bit saturating *)
   blacklist : int array;  (* 2-bit saturating; saturated means "not a reload" *)
   use_stride : bool;  (* ablation: fall back to last-PID prediction *)
   use_blacklist : bool;  (* ablation: never filter *)
@@ -27,16 +24,19 @@ type t = {
 let create ?(entries = 512) ?(blacklist_entries = 4096) ?(use_stride = true)
     ?(use_blacklist = true) counters =
   {
-    entries = Array.init entries (fun _ -> { tag = -1; last_pid = 0; stride = 0; conf = 0 });
+    tags = Array.make entries (-1);
+    last_pids = Array.make entries 0;
+    strides = Array.make entries 0;
+    confs = Array.make entries 0;
     blacklist = Array.make blacklist_entries 1;
     use_stride;
     use_blacklist;
     counters;
   }
 
-let size t = Array.length t.entries
+let size t = Array.length t.tags
 
-let index t pc = (pc lsr 2) mod Array.length t.entries
+let index t pc = (pc lsr 2) mod Array.length t.tags
 let tag_of pc = pc lsr 2
 let bl_index t pc = (pc lsr 2) mod Array.length t.blacklist
 
@@ -52,45 +52,46 @@ let blacklisted t pc = t.use_blacklist && t.blacklist.(bl_index t pc) >= 3
 let predict t pc =
   if blacklisted t pc then 0
   else begin
-    let e = t.entries.(index t pc) in
-    if e.tag <> tag_of pc then 0
-    else if t.use_stride && e.conf >= 2 then e.last_pid + e.stride
-    else e.last_pid
+    let e = index t pc in
+    if t.tags.(e) <> tag_of pc then 0
+    else if t.use_stride && t.confs.(e) >= 2 then t.last_pids.(e) + t.strides.(e)
+    else t.last_pids.(e)
   end
 
-let clamp v = max 0 (min 3 v)
+(* Int-specialized: [Stdlib.max]/[min] are generic-compare calls
+   without flambda. *)
+let clamp (v : int) = if v < 0 then 0 else if v > 3 then 3 else v
 
 (* [alias_page] is the TLB's alias-hosting bit for the accessed page: only
    loads from pages with no spilled pointers at all train the blacklist
    (they are data-value loads); a zero PID from an alias-hosting page may
    simply be a NULL pointer or an overwritten slot and must not blacklist
    a genuine reload PC. *)
-let update ?(alias_page = true) t pc ~actual =
+let update t pc ~alias_page ~actual =
   let bl = bl_index t pc in
+  let e = index t pc in
   if actual = 0 then begin
     if not alias_page then t.blacklist.(bl) <- clamp (t.blacklist.(bl) + 1);
-    let e = t.entries.(index t pc) in
-    if e.tag = tag_of pc then e.conf <- clamp (e.conf - 1)
+    if t.tags.(e) = tag_of pc then t.confs.(e) <- clamp (t.confs.(e) - 1)
   end
   else begin
     (* A pointer outcome proves the PC is a reload: reset the blacklist
        counter so occasional NULL loads cannot blacklist it (asymmetric
        training). *)
     t.blacklist.(bl) <- 0;
-    let e = t.entries.(index t pc) in
-    if e.tag <> tag_of pc then begin
-      e.tag <- tag_of pc;
-      e.last_pid <- actual;
-      e.stride <- 0;
-      e.conf <- 1
+    if t.tags.(e) <> tag_of pc then begin
+      t.tags.(e) <- tag_of pc;
+      t.last_pids.(e) <- actual;
+      t.strides.(e) <- 0;
+      t.confs.(e) <- 1
     end
     else begin
-      let predicted = e.last_pid + e.stride in
-      if predicted = actual then e.conf <- clamp (e.conf + 1)
+      let predicted = t.last_pids.(e) + t.strides.(e) in
+      if predicted = actual then t.confs.(e) <- clamp (t.confs.(e) + 1)
       else begin
-        e.stride <- actual - e.last_pid;
-        e.conf <- clamp (e.conf - 1)
+        t.strides.(e) <- actual - t.last_pids.(e);
+        t.confs.(e) <- clamp (t.confs.(e) - 1)
       end;
-      e.last_pid <- actual
+      t.last_pids.(e) <- actual
     end
   end

@@ -25,6 +25,6 @@ val predict : t -> int -> int
     [alias_page] is the TLB's alias-hosting bit: only loads from pages
     with no spilled pointers train the blacklist (true data loads); a
     pointer outcome resets it (asymmetric training). *)
-val update : ?alias_page:bool -> t -> int -> actual:int -> unit
+val update : t -> int -> alias_page:bool -> actual:int -> unit
 
 val blacklisted : t -> int -> bool

@@ -20,6 +20,7 @@ let levels = 5
 type t = {
   mutable root : node option array;
   mutable nodes : int;  (* allocated nodes, for storage accounting *)
+  mutable walked : int;  (* levels the last [find] walked *)
   counters : Chex86_stats.Counter.group;
   h_updates : Chex86_stats.Counter.handle;
   h_walks : Chex86_stats.Counter.handle;
@@ -29,6 +30,7 @@ let create counters =
   {
     root = Array.make fanout None;
     nodes = 1;
+    walked = 0;
     counters;
     h_updates = Chex86_stats.Counter.handle counters "aliastable.updates";
     h_walks = Chex86_stats.Counter.handle counters "aliastable.walks";
@@ -73,20 +75,27 @@ let set t addr pid =
   Chex86_stats.Counter.incr_handle t.counters t.h_updates;
   set_level t t.root addr 0 pid
 
-(* [get t addr] returns [(pid, levels_walked)]; the walker latency is
-   proportional to the second component. *)
-let get t addr =
-  Chex86_stats.Counter.incr_handle t.counters t.h_walks;
-  let rec walk arr level =
-    let idx = index_at addr level in
-    match arr.(idx) with
-    | None -> (0, level + 1)
-    | Some (Leaf leaf) -> (leaf.(index_at addr (levels - 1)), level + 2)
-    | Some (Interior child) -> walk child (level + 1)
-  in
-  walk t.root 0
+(* The walk behind [find]: the PID, with the depth reached left in
+   [t.walked].  Top-level recursion, so a walk allocates nothing. *)
+let rec walk t arr addr level =
+  match arr.(index_at addr level) with
+  | None ->
+    t.walked <- level + 1;
+    0
+  | Some (Leaf leaf) ->
+    t.walked <- level + 2;
+    leaf.(index_at addr (levels - 1))
+  | Some (Interior child) -> walk t child addr (level + 1)
 
-let find t addr = fst (get t addr)
+let find t addr =
+  Chex86_stats.Counter.incr_handle t.counters t.h_walks;
+  walk t t.root addr 0
+
+let last_walk_levels t = t.walked
+
+let get t addr =
+  let pid = find t addr in
+  (pid, t.walked)
 
 (* Shadow storage: each radix node is one 4 KB page (512 x 8 bytes). *)
 let storage_bytes t = t.nodes * 4096

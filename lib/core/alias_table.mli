@@ -14,8 +14,11 @@ val set : t -> int -> int -> unit
     second component. *)
 val get : t -> int -> int * int
 
-(** PID only. *)
+(** PID only, with no allocation; counts a walk like [get]. *)
 val find : t -> int -> int
+
+(** Levels the last [find] (or [get]) walked. *)
+val last_walk_levels : t -> int
 
 (** Allocated radix nodes x 4 KB. *)
 val storage_bytes : t -> int

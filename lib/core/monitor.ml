@@ -26,7 +26,7 @@ type pending_alloc = { pid : int; kind : Os.Msrs.kind; realloc_old : int }
 type shared = {
   s_cap_table : Cap_table.t;
   s_alias_table : Alias_table.t;
-  s_alias_pages : (int, unit) Hashtbl.t;  (* vpn -> hosting *)
+  s_alias_pages : Mem.Intset.t;  (* hosting vpns *)
   s_bus : Bus.t;
   mutable s_globals : (int * int * int) array option;
 }
@@ -35,7 +35,7 @@ let make_shared counters =
   {
     s_cap_table = Cap_table.create counters;
     s_alias_table = Alias_table.create counters;
-    s_alias_pages = Hashtbl.create 256;
+    s_alias_pages = Mem.Intset.create ~capacity:16 ();
     s_bus = Bus.create counters;
     s_globals = None;
   }
@@ -72,7 +72,7 @@ type t = {
   mutable pq_head : int;
   mutable pq_tail : int;
   lsu_checks : (int * bool) Queue.t;  (* hardware-only: (pid, is_store) per mem uop *)
-  bt_translated : (int, unit) Hashtbl.t;
+  bt_translated : Mem.Intset.t;  (* macro-op PCs already translated *)
   (* Per-PC memo of the check-spliced crack (microcode schemes only):
      [mem]/[width]/[is_store] are fixed per site, so the spliced list is
      fully determined by the PIDs captured at decode.  [memo_pids] is the
@@ -82,11 +82,14 @@ type t = {
   mutable memo_n : int;
   memo_pids : int array;
   mutable pending_bt_cost : int;
-  (* Reaction ring pool + [validate_prediction]'s out-params: the per-
-     checked-access timing feedback must not box a record or tuple. *)
+  (* Reaction ring pool + the out-params of [validate_prediction] and
+     [alias_lookup]: the per-checked-access timing feedback must not box
+     a record or tuple. *)
   rpool : Machine.Hooks.pool;
   mutable vp_flush : bool;
   mutable vp_killed : int;
+  mutable al_latency : int;
+  mutable al_alias_page : bool;
   mutable checker : Checker.t option;
   (* Observation hook: fires for every executed capability check with the
      PID it validated (used to recover Table II's temporal PID streams). *)
@@ -162,8 +165,9 @@ let create ?(variant = Variant.default) ?(core = 0) ?shared ~proc ~hier () =
       pq_head = 0;
       pq_tail = 0;
       lsu_checks = Queue.create ();
-      bt_translated = Hashtbl.create 4096;
-      inject_memo = Mem.Intmap.create ~capacity:2048 ();
+      (* Both grow on demand; a short run (one exploit) touches few PCs. *)
+      bt_translated = Mem.Intset.create ~capacity:16 ();
+      inject_memo = Mem.Intmap.create ~capacity:16 ();
       memo_tbl = [||];
       memo_n = 0;
       memo_pids = Array.make 16 0;  (* cracks are <= 8 micro-ops *)
@@ -171,6 +175,8 @@ let create ?(variant = Variant.default) ?(core = 0) ?shared ~proc ~hier () =
       rpool = Machine.Hooks.pool ();
       vp_flush = false;
       vp_killed = 0;
+      al_latency = 0;
+      al_alias_page = false;
       checker = None;
       on_check = (fun ~pc:_ ~pid:_ ~is_store:_ -> ());
       core;
@@ -267,7 +273,7 @@ let protects t = Variant.protects t.variant
    constant-pool path of Section VII-B). *)
 let mem_pid t (m : Insn.mem) =
   match m.base with
-  | Some r -> Tracker.current_pid t.tracker (Uop.Greg r)
+  | Some r -> Tracker.reg_pid t.tracker r
   | None -> global_pid_of t m.disp
 
 (* --- prediction FIFO (int ring) ------------------------------------------ *)
@@ -321,7 +327,7 @@ let apply_rule t pc (uop : Uop.t) =
     | Lea { dst; mem } ->
       let pid =
         match mem.base with
-        | Some b -> Tracker.current_pid tr (Uop.Greg b)
+        | Some b -> Tracker.reg_pid tr b
         | None -> global_pid_of t mem.disp
       in
       Tracker.assign tr dst ~seq ~pid
@@ -549,8 +555,8 @@ let instrument t (ctx : Machine.Hooks.ctx) uops =
   begin
     (* Binary translation: charge a one-time translation cost per newly
        seen macro-op address. *)
-    if t.is_bt && not (Hashtbl.mem t.bt_translated ctx.pc) then begin
-      Hashtbl.add t.bt_translated ctx.pc ();
+    if t.is_bt && not (Mem.Intset.mem t.bt_translated ctx.pc) then begin
+      Mem.Intset.add t.bt_translated ctx.pc;
       t.pending_bt_cost <- t.pending_bt_cost + t.variant.Variant.bt_translation_cycles;
       Chex86_stats.Counter.incr_handle t.counters t.h_bt_translated
     end;
@@ -637,34 +643,46 @@ let do_check t ~pid ~ea ~width ~is_store =
        end);
   latency
 
-(* Shadow alias lookup with the paper's three-stage filter: TLB
-   alias-hosting bit, then the alias cache (+victim), then the 5-level
-   table walk.  Returns (actual pid, latency). *)
 (* Page-table alias-hosting bit: under SMP the authoritative bits are
    shared across cores (page-table metadata); single-core uses the TLB's
    side table. *)
 let page_hosts_aliases t vpn =
   match t.shared with
-  | Some s -> Hashtbl.mem s.s_alias_pages vpn
+  | Some s -> Mem.Intset.mem s.s_alias_pages vpn
   | None -> Mem.Tlb.page_alias_bit t.tlb vpn
 
+(* Shadow alias lookup with the paper's three-stage filter: TLB
+   alias-hosting bit, then the alias cache (+victim), then the 5-level
+   table walk.  Returns the actual PID; the lookup latency and whether
+   the lookup got past the filter land in [t.al_latency] and
+   [t.al_alias_page]. *)
 let alias_lookup t ea =
   if
     t.variant.Variant.tlb_alias_filter
     && not (page_hosts_aliases t (ea lsr Mem.Image.page_bits))
   then begin
     Chex86_stats.Counter.incr_handle t.counters t.h_tlb_filtered;
-    (0, 0, false)
+    t.al_latency <- 0;
+    t.al_alias_page <- false;
+    0
   end
-  else if Mem.Cache.access t.alias_cache ~write:false ea then
-    (Alias_table.find t.alias_table ea, 0, true)
+  else if Mem.Cache.access t.alias_cache ~write:false ea then begin
+    t.al_latency <- 0;
+    t.al_alias_page <- true;
+    Alias_table.find t.alias_table ea
+  end
   else begin
-    let pid, levels = Alias_table.get t.alias_table ea in
+    let pid = Alias_table.find t.alias_table ea in
     let line_latency =
       Mem.Hierarchy.access t.hier ~kind:Mem.Hierarchy.Data ~write:false
         (alias_shadow_base + (ea lsr 3 * 8))
     in
-    (pid, (levels * t.variant.Variant.alias_walk_latency_per_level) + line_latency, true)
+    t.al_latency <-
+      (Alias_table.last_walk_levels t.alias_table
+       * t.variant.Variant.alias_walk_latency_per_level)
+      + line_latency;
+    t.al_alias_page <- true;
+    pid
   end
 
 let incr t (h : Chex86_stats.Counter.handle) = Chex86_stats.Counter.incr_handle t.counters h
@@ -691,8 +709,9 @@ let validate_prediction t ~pc ~ea ~dst =
       end
     end
   in
-  let actual, latency, alias_page = alias_lookup t ea in
-  Alias_predictor.update ~alias_page t.predictor pc ~actual;
+  let actual = alias_lookup t ea in
+  let latency = t.al_latency and alias_page = t.al_alias_page in
+  Alias_predictor.update t.predictor pc ~alias_page ~actual;
   Tracker.force_pid t.tracker dst actual;
   let is_prediction_scheme = t.is_prediction in
   if alias_page then incr t t.h_pred_events;
@@ -724,7 +743,7 @@ let record_spill t ~ea ~pid =
     Alias_table.set t.alias_table ea pid;
     (match t.shared with
     | Some s ->
-      Hashtbl.replace s.s_alias_pages (ea lsr Mem.Image.page_bits) ();
+      Mem.Intset.add s.s_alias_pages (ea lsr Mem.Image.page_bits);
       (* Alias-cache coherence: invalidate the granule in other cores. *)
       ignore (Bus.broadcast s.s_bus ~from_core:t.core (Bus.Alias_invalidate ea))
     | None -> ());

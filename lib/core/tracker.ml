@@ -41,12 +41,17 @@ let next_seq t =
 
 (* Capability transfers use the youngest transient PID (the fetch stage
    runs ahead of the rest of the pipeline). *)
+let slot_pid t slot =
+  let tag = t.tags.(slot) in
+  match tag.transient with (_, pid) :: _ -> pid | [] -> tag.committed
+
 let current_pid t loc =
   let slot = slot_of_loc loc in
-  if slot < 0 then 0
-  else
-    let tag = t.tags.(slot) in
-    match tag.transient with (_, pid) :: _ -> pid | [] -> tag.committed
+  if slot < 0 then 0 else slot_pid t slot
+
+(* By register index: the per-memory-µop base-register read builds no
+   [Uop.Greg] box. *)
+let reg_pid t r = slot_pid t (Reg.index r)
 
 let set_pid t loc ~seq ~pid =
   let slot = slot_of_loc loc in

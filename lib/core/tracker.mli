@@ -14,6 +14,10 @@ val next_seq : t -> int
     never tracked and always read 0. *)
 val current_pid : t -> Chex86_isa.Uop.loc -> int
 
+(** [reg_pid t r] is [current_pid t (Greg r)] without building the
+    location. *)
+val reg_pid : t -> Chex86_isa.Reg.t -> int
+
 (** Record a transient capability transfer. *)
 val set_pid : t -> Chex86_isa.Uop.loc -> seq:int -> pid:int -> unit
 

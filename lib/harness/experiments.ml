@@ -112,12 +112,25 @@ let fault_footer (report : Pool.fault_report) =
 let spec_names = List.map (fun (w : Chex86_workloads.Bench_spec.t) -> w.name) W.spec
 let is_spec name = List.mem name spec_names
 
+(* [None] over an empty set: an aggregate of nothing has no value, and
+   any stand-in would print as a result ([0.] reads as a -100 %
+   slowdown). *)
 let geomean values =
   match values with
-  | [] -> 0.
+  | [] -> None
   | _ ->
-    exp (List.fold_left (fun acc v -> acc +. log (max v 1e-9)) 0. values
-        /. float_of_int (List.length values))
+    Some
+      (exp (List.fold_left (fun acc v -> acc +. log (max v 1e-9)) 0. values
+            /. float_of_int (List.length values)))
+
+let or_na render = function Some v -> render v | None -> "n/a"
+
+(* What an aggregate over [n] of the sweep's [total] [what] appends:
+   nothing when every one of them completed. *)
+let coverage ~what ~total n =
+  if total = 0 then Printf.sprintf " (no %s in this sweep)" what
+  else if n = total then ""
+  else Printf.sprintf " (over %d of %d %s; %d faulted)" n total what (total - n)
 
 (* --- Figure 1 ------------------------------------------------------------- *)
 
@@ -319,13 +332,15 @@ let figure6 () =
   in
   let summarize label pick =
     let rs = ratios pick in
-    let slowdown = geomean (List.map fst rs) in
-    let vs_asan = geomean (List.map snd rs) in
-    Printf.sprintf
-      "%s: CHEx86 (prediction) slowdown vs insecure: %.1f%%; speedup vs ASan: %.2fx"
+    let total =
+      List.length
+        (List.filter (fun ((w : Chex86_workloads.Bench_spec.t), _) -> pick w.name) runs)
+    in
+    Printf.sprintf "%s: CHEx86 (prediction) slowdown vs insecure: %s; speedup vs ASan: %s%s"
       label
-      ((slowdown -. 1.) *. 100.)
-      vs_asan
+      (or_na (fun g -> Printf.sprintf "%.1f%%" ((g -. 1.) *. 100.)) (geomean (List.map fst rs)))
+      (or_na (Printf.sprintf "%.2fx") (geomean (List.map snd rs)))
+      (coverage ~what:(label ^ " workloads") ~total (List.length rs))
   in
   String.concat "\n"
     ([
@@ -495,8 +510,10 @@ let figure8 () =
              "Squash% CHEx86";
            ]
          rows;
-       Printf.sprintf "Average alias prediction accuracy: %s"
-         (Render.percent (geomean accuracies));
+       Printf.sprintf "Average alias prediction accuracy: %s%s"
+         (or_na Render.percent (geomean accuracies))
+         (coverage ~what:"workloads" ~total:(List.length workloads)
+            (List.length accuracies));
      ]
     @ fault_footer report)
 
@@ -693,13 +710,16 @@ let table4 () =
         | _ -> None)
       runs
   in
-  let perf = (geomean (List.map fst measured) -. 1.) *. 100. in
-  let worst_perf =
-    (List.fold_left (fun acc (p, _) -> max acc p) 1. measured -. 1.) *. 100.
+  let avg_and_worst ratios =
+    or_na
+      (fun g ->
+        Printf.sprintf "%.0f%% (avg) %.0f%% (worst)" ((g -. 1.) *. 100.)
+          ((List.fold_left max 1. ratios -. 1.) *. 100.))
+      (geomean ratios)
   in
-  let storage = (geomean (List.map snd measured) -. 1.) *. 100. in
-  let worst_storage =
-    (List.fold_left (fun acc (_, s) -> max acc s) 1. measured -. 1.) *. 100.
+  let spec_total =
+    List.length
+      (List.filter (fun ((w : Chex86_workloads.Bench_spec.t), _) -> is_spec w.name) runs)
   in
   let static =
     [
@@ -717,8 +737,8 @@ let table4 () =
         "yes";
         "Shadow";
         "yes";
-        Printf.sprintf "%.0f%% (avg) %.0f%% (worst)" perf worst_perf;
-        Printf.sprintf "%.0f%% (avg) %.0f%% (worst)" storage worst_storage;
+        avg_and_worst (List.map fst measured);
+        avg_and_worst (List.map snd measured);
       ];
     ]
   in
@@ -729,7 +749,8 @@ let table4 () =
          ~header:
            [ "Proposal"; "Temporal"; "Spatial"; "Metadata"; "BinCompat"; "Performance"; "Storage" ]
          static;
-       "(prior-work rows are the paper's reported numbers; the CHEx86 row is measured)";
+       "(prior-work rows are the paper's reported numbers; the CHEx86 row is measured)"
+       ^ coverage ~what:"SPEC workloads" ~total:spec_total (List.length measured);
      ]
     @ fault_footer report)
 

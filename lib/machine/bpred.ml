@@ -7,20 +7,10 @@
    squash accounting in the timing model; target prediction uses the BTB
    for computed branches and the RAS for returns. *)
 
-type tagged_entry = { mutable tag : int; mutable ctr : int; mutable useful : int }
-
-type t = {
-  bimodal : int array;  (* 2-bit counters *)
-  tagged : tagged_entry array array;  (* 3 tables *)
-  history_lengths : int array;
-  mutable ghist : int;  (* global history, newest outcome in bit 0 *)
-  btb : int array;  (* pc -> target *)
-  btb_tags : int array;
-  ras : int array;
-  mutable ras_top : int;
-  counters : Chex86_stats.Counter.group;
-  (* Pre-resolved outcome counters: [resolve] runs once per branch and
-     must not hash strings. *)
+(* Pre-resolved outcome counters: [resolve] runs once per branch and
+   must not hash strings.  A record of their own so a machine can list
+   them (at zero) before it builds any predictor table. *)
+type handles = {
   h_cond_correct : Chex86_stats.Counter.handle;
   h_cond_mispredict : Chex86_stats.Counter.handle;
   h_ras_correct : Chex86_stats.Counter.handle;
@@ -29,16 +19,48 @@ type t = {
   h_btb_mispredict : Chex86_stats.Counter.handle;
 }
 
+let handles counters =
+  let h = Chex86_stats.Counter.handle counters in
+  {
+    h_cond_correct = h "bpred.cond_correct";
+    h_cond_mispredict = h "bpred.cond_mispredict";
+    h_ras_correct = h "bpred.ras_correct";
+    h_ras_mispredict = h "bpred.ras_mispredict";
+    h_btb_correct = h "bpred.btb_correct";
+    h_btb_mispredict = h "bpred.btb_mispredict";
+  }
+
+let register_counters counters = ignore (handles counters)
+
+type t = {
+  bimodal : int array;  (* 2-bit counters *)
+  (* The three tagged tables, packed (DESIGN.md §6): entry [j] of table
+     [i] is slot [i * tagged_size + j] of [tags], [ctrs] (3-bit
+     counters) and [useful] (2-bit). *)
+  tags : int array;
+  ctrs : int array;
+  useful : int array;
+  history_lengths : int array;
+  mutable ghist : int;  (* global history, newest outcome in bit 0 *)
+  btb : int array;  (* pc -> target *)
+  btb_tags : int array;
+  ras : int array;
+  mutable ras_top : int;
+  counters : Chex86_stats.Counter.group;
+  h : handles;
+}
+
 let bimodal_bits = 13
 let tagged_bits = 10
+let tagged_size = 1 lsl tagged_bits
 let tag_bits = 9
 
 let create counters =
   {
     bimodal = Array.make (1 lsl bimodal_bits) 2;
-    tagged =
-      Array.init 3 (fun _ ->
-          Array.init (1 lsl tagged_bits) (fun _ -> { tag = -1; ctr = 4; useful = 0 }));
+    tags = Array.make (3 * tagged_size) (-1);
+    ctrs = Array.make (3 * tagged_size) 4;
+    useful = Array.make (3 * tagged_size) 0;
     history_lengths = [| 5; 15; 44 |];
     ghist = 0;
     btb = Array.make 4096 0;
@@ -46,12 +68,7 @@ let create counters =
     ras = Array.make 64 0;
     ras_top = 0;
     counters;
-    h_cond_correct = Chex86_stats.Counter.handle counters "bpred.cond_correct";
-    h_cond_mispredict = Chex86_stats.Counter.handle counters "bpred.cond_mispredict";
-    h_ras_correct = Chex86_stats.Counter.handle counters "bpred.ras_correct";
-    h_ras_mispredict = Chex86_stats.Counter.handle counters "bpred.ras_mispredict";
-    h_btb_correct = Chex86_stats.Counter.handle counters "bpred.btb_correct";
-    h_btb_mispredict = Chex86_stats.Counter.handle counters "bpred.btb_mispredict";
+    h = handles counters;
   }
 
 (* Top-level recursion (DESIGN.md hot-path rules): an inner [rec]
@@ -62,9 +79,10 @@ let rec fold_bits h bits acc =
 
 let fold_history ghist len bits = fold_bits (ghist land ((1 lsl len) - 1)) bits 0
 
+(* Slot of table [i]'s entry for [pc] in the packed arrays. *)
 let tagged_index t i pc =
   let h = fold_history t.ghist t.history_lengths.(i) tagged_bits in
-  ((pc lsr 2) lxor h lxor (i * 0x9E37)) land ((1 lsl tagged_bits) - 1)
+  (i * tagged_size) + (((pc lsr 2) lxor h lxor (i * 0x9E37)) land (tagged_size - 1))
 
 let tagged_tag t i pc =
   let h = fold_history t.ghist t.history_lengths.(i) tag_bits in
@@ -72,18 +90,18 @@ let tagged_tag t i pc =
 
 (* Longest-history hitting table, or -1.  Int sentinel instead of the
    former [Some (i, entry)] pair: the provider is probed on every
-   conditional branch (and several times per resolve), and the entry is
+   conditional branch (and several times per resolve), and the slot is
    recoverable from the index for the price of a re-hash. *)
 let rec provider_from t pc i =
   if i < 0 then -1
-  else if (t.tagged.(i).(tagged_index t i pc)).tag = tagged_tag t i pc then i
+  else if t.tags.(tagged_index t i pc) = tagged_tag t i pc then i
   else provider_from t pc (i - 1)
 
 let provider_index t pc = provider_from t pc 2
 
 let predict_direction t pc =
   let p = provider_index t pc in
-  if p >= 0 then (t.tagged.(p).(tagged_index t p pc)).ctr >= 4
+  if p >= 0 then t.ctrs.(tagged_index t p pc) >= 4
   else t.bimodal.((pc lsr 2) land ((1 lsl bimodal_bits) - 1)) >= 2
 
 (* Int-specialized: [Stdlib.max]/[min] are generic-compare calls without
@@ -94,14 +112,13 @@ let clamp (v : int) (lo : int) (hi : int) = if v < lo then lo else if v > hi the
    decrement-useful-and-retry walk). *)
 let rec alloc_entry t pc taken i =
   if i <= 2 then begin
-    let e = t.tagged.(i).(tagged_index t i pc) in
-    if e.useful = 0 then begin
-      e.tag <- tagged_tag t i pc;
-      e.ctr <- (if taken then 4 else 3);
-      e.useful <- 0
+    let e = tagged_index t i pc in
+    if t.useful.(e) = 0 then begin
+      t.tags.(e) <- tagged_tag t i pc;
+      t.ctrs.(e) <- (if taken then 4 else 3)
     end
     else begin
-      e.useful <- e.useful - 1;
+      t.useful.(e) <- t.useful.(e) - 1;
       alloc_entry t pc taken (i + 1)
     end
   end
@@ -113,12 +130,12 @@ let rec alloc_entry t pc taken i =
 let update_direction t pc ~taken =
   let p = provider_index t pc in
   let predicted =
-    if p >= 0 then (t.tagged.(p).(tagged_index t p pc)).ctr >= 4
+    if p >= 0 then t.ctrs.(tagged_index t p pc) >= 4
     else t.bimodal.((pc lsr 2) land ((1 lsl bimodal_bits) - 1)) >= 2
   in
   (if p >= 0 then begin
-     let e = t.tagged.(p).(tagged_index t p pc) in
-     e.ctr <- clamp (e.ctr + if taken then 1 else -1) 0 7
+     let e = tagged_index t p pc in
+     t.ctrs.(e) <- clamp (t.ctrs.(e) + if taken then 1 else -1) 0 7
    end
    else begin
      let idx = (pc lsr 2) land ((1 lsl bimodal_bits) - 1) in
@@ -126,8 +143,8 @@ let update_direction t pc ~taken =
    end);
   if predicted <> taken then alloc_entry t pc taken (p + 1)
   else if p >= 0 then begin
-    let e = t.tagged.(p).(tagged_index t p pc) in
-    e.useful <- clamp (e.useful + 1) 0 3
+    let e = tagged_index t p pc in
+    t.useful.(e) <- clamp (t.useful.(e) + 1) 0 3
   end;
   t.ghist <- ((t.ghist lsl 1) lor if taken then 1 else 0) land ((1 lsl 60) - 1);
   predicted = taken
@@ -160,7 +177,7 @@ let resolve t ~pc ~kind ~taken ~target =
   | Cond _ ->
     let ok = update_direction t pc ~taken in
     Chex86_stats.Counter.incr_handle t.counters
-      (if ok then t.h_cond_correct else t.h_cond_mispredict);
+      (if ok then t.h.h_cond_correct else t.h.h_cond_mispredict);
     ok
   | Jump -> true  (* direct unconditional: decoded target, always correct *)
   | Call ->
@@ -170,7 +187,7 @@ let resolve t ~pc ~kind ~taken ~target =
     let predicted = ras_pop t in
     let ok = predicted = target in
     Chex86_stats.Counter.incr_handle t.counters
-      (if ok then t.h_ras_correct else t.h_ras_mispredict);
+      (if ok then t.h.h_ras_correct else t.h.h_ras_mispredict);
     ok
   | Indirect ->
     (* Inline BTB probe: no [option] on the per-branch path. *)
@@ -178,5 +195,5 @@ let resolve t ~pc ~kind ~taken ~target =
     let ok = t.btb_tags.(idx) = pc && t.btb.(idx) = target in
     btb_update t pc target;
     Chex86_stats.Counter.incr_handle t.counters
-      (if ok then t.h_btb_correct else t.h_btb_mispredict);
+      (if ok then t.h.h_btb_correct else t.h.h_btb_mispredict);
     ok

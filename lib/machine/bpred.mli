@@ -5,7 +5,13 @@
 
 type t
 
+(** A fully built predictor: every table is allocated here. *)
 val create : Chex86_stats.Counter.group -> t
+
+(** Resolve the ["bpred.*"] counters in the group (at zero) without
+    building any table, so a machine that defers [create] to its first
+    timed step still lists them. *)
+val register_counters : Chex86_stats.Counter.group -> unit
 
 (** Direction prediction for a conditional at [pc] (no state change). *)
 val predict_direction : t -> int -> bool

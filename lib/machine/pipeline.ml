@@ -34,11 +34,21 @@ let slot_of_loc = function
   | Uop.Xreg i -> Reg.count + i
   | Uop.Tmp i -> Reg.count + Insn.xmm_count + i
 
+(* Tables only the timing model reads.  The first [on_step] builds them
+   (DESIGN.md §6), so a timing-off run, which never calls it, does not
+   pay for them.  Store-to-load forwarding is a direct-mapped table over
+   8-byte granules: [fwd_granule.(slot)] holds the full granule number
+   (-1 when empty) and [fwd_ready.(slot)] the cycle its store data
+   forwards.  A conflicting store evicts only its own slot — the old
+   hashtable dropped *all* in-flight forwarding state wholesale once it
+   crossed 8192 entries. *)
+type tables = { bpred : Bpred.t; fwd_granule : int array; fwd_ready : int array }
+
 type t = {
   cfg : Config.t;
   hier : Chex86_mem.Hierarchy.t;
-  bpred : Bpred.t;
   counters : Chex86_stats.Counter.group;
+  mutable tables : tables option;
   reg_ready : int array;
   rob : int array;
   mutable rob_pos : int;
@@ -49,14 +59,6 @@ type t = {
   sq : int array;
   mutable sq_pos : int;
   fu_free : int array array;  (* per fu class, per unit *)
-  (* Store-to-load forwarding: a direct-mapped table over 8-byte granules.
-     [fwd_granule.(slot)] holds the full granule number (-1 when empty)
-     and [fwd_ready.(slot)] the cycle its store data forwards.  A
-     conflicting store evicts only its own slot — the old hashtable
-     dropped *all* in-flight forwarding state wholesale once it crossed
-     8192 entries. *)
-  fwd_granule : int array;
-  fwd_ready : int array;
   mutable fetch_cycle : int;
   mutable fetch_slots : int;
   mutable last_commit : int;
@@ -87,11 +89,14 @@ let fu_index = function
   | Uop.FU_none -> 6
 
 let create ?(config = Config.default) hier counters =
+  (* The tables wait for the first [on_step]; their counters are listed
+     now, so every run reports the same counter set. *)
+  Bpred.register_counters counters;
   {
     cfg = config;
     hier;
-    bpred = Bpred.create counters;
     counters;
+    tables = None;
     reg_ready = Array.make loc_slots 0;
     rob = Array.make config.rob_size 0;
     rob_pos = 0;
@@ -111,8 +116,6 @@ let create ?(config = Config.default) hier counters =
         Array.make 1 0 (* branch unit *);
         Array.make 1 0 (* none *);
       |];
-    fwd_granule = Array.make fwd_size (-1);
-    fwd_ready = Array.make fwd_size 0;
     fetch_cycle = 0;
     fetch_slots = 0;
     last_commit = 0;
@@ -215,7 +218,7 @@ let reads_ready t acc (uop : Uop.t) =
 (* Process one executed micro-op; [dispatch_base] is when the front end
    delivered it. [native_latency] inflates the base latency (stub
    bodies). Returns its completion time. *)
-let process_uop t ~pc ~dispatch_base ~native_latency (eu : Engine.exec_uop) branch =
+let process_uop t tb ~pc ~dispatch_base ~native_latency (eu : Engine.exec_uop) branch =
   let uop = eu.uop in
   Chex86_stats.Counter.incr_handle t.counters t.h_uops;
   if Uop.is_injected uop then Chex86_stats.Counter.incr_handle t.counters t.h_uops_injected;
@@ -249,7 +252,7 @@ let process_uop t ~pc ~dispatch_base ~native_latency (eu : Engine.exec_uop) bran
       let mem_lat = Chex86_mem.Hierarchy.access t.hier ~kind:Data ~write:false ea in
       let g = granule ea in
       let slot = g land (fwd_size - 1) in
-      if t.fwd_granule.(slot) = g then imax (issue + 1) t.fwd_ready.(slot)
+      if tb.fwd_granule.(slot) = g then imax (issue + 1) tb.fwd_ready.(slot)
       else issue + mem_lat
     | Store _ ->
       let ea = eu.ea in
@@ -258,8 +261,8 @@ let process_uop t ~pc ~dispatch_base ~native_latency (eu : Engine.exec_uop) bran
       let g = granule ea in
       let slot = g land (fwd_size - 1) in
       (* Direct-mapped: a conflicting granule displaces only this slot. *)
-      t.fwd_granule.(slot) <- g;
-      t.fwd_ready.(slot) <- issue + 1;
+      tb.fwd_granule.(slot) <- g;
+      tb.fwd_ready.(slot) <- issue + 1;
       issue + 1
     | Guard { kind = Shadow_load; _ } ->
       (* ASan shadow byte load: real D-cache traffic in shadow space. *)
@@ -311,9 +314,9 @@ let process_uop t ~pc ~dispatch_base ~native_latency (eu : Engine.exec_uop) bran
       match kind with
       | Uop.Call when (match bi.kind with Uop.Indirect -> true | _ -> false) ->
         (* Indirect call: BTB-predicted target + RAS push of pc+4. *)
-        Bpred.ras_push t.bpred (pc + 4);
-        Bpred.resolve t.bpred ~pc ~kind:Uop.Indirect ~taken:true ~target:bi.target
-      | _ -> Bpred.resolve t.bpred ~pc ~kind:bi.kind ~taken:bi.taken ~target:bi.target
+        Bpred.ras_push tb.bpred (pc + 4);
+        Bpred.resolve tb.bpred ~pc ~kind:Uop.Indirect ~taken:true ~target:bi.target
+      | _ -> Bpred.resolve tb.bpred ~pc ~kind:bi.kind ~taken:bi.taken ~target:bi.target
     in
     if not correct then redirect t ~resolve_time:complete ~reason:t.h_branch_flushes
   | _ -> ());
@@ -326,7 +329,19 @@ let native_cost = function
   | "memset" | "memcpy" -> 60
   | _ -> 10
 
+let build_tables t =
+  let tb =
+    {
+      bpred = Bpred.create t.counters;
+      fwd_granule = Array.make fwd_size (-1);
+      fwd_ready = Array.make fwd_size 0;
+    }
+  in
+  t.tables <- Some tb;
+  tb
+
 let on_step t (step : Engine.step) =
+  let tb = match t.tables with Some tb -> tb | None -> build_tables t in
   Chex86_stats.Counter.incr_handle t.counters t.h_macro_insns;
   (* Front end: I-cache line fetch + fetch bandwidth + decode path. *)
   let line = step.pc lsr 6 in
@@ -353,7 +368,7 @@ let on_step t (step : Engine.step) =
       t.fetch_slots <- t.fetch_slots + killed
     end;
     let branch = if i = n - 1 then step.branch else None in
-    ignore (process_uop t ~pc:step.pc ~dispatch_base ~native_latency eu branch)
+    ignore (process_uop t tb ~pc:step.pc ~dispatch_base ~native_latency eu branch)
   done
 
 let cycles t = t.last_commit

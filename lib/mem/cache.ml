@@ -32,15 +32,20 @@ let policy_of_string = function
   | "mru" -> Some Mru
   | _ -> None
 
-(* [block] is the full block number (addr lsr line_bits); -1 when the
-   line is invalid.  Storing the whole number costs nothing in a model
-   and makes eviction reconstruct the block exactly, whatever the
-   indexing function. *)
-type line = { mutable block : int; mutable valid : bool; mutable stamp : int }
-
+(* Line [w] of set [s] is slot [s * ways + w] of two flat int arrays
+   (DESIGN.md §6: modelled tables are flat int arrays, not arrays of
+   records).  [blocks] holds the line's full block number (addr lsr
+   line_bits), or -1 when the line is invalid: block numbers are never
+   negative, so one compare per way tests validity and tag together.
+   Storing the whole number costs nothing in a model and makes eviction
+   reconstruct the block exactly, whatever the indexing function.
+   [stamps] holds the clock of the line's last touch; invalidation clears
+   only the block, so a stamp always records its line's last touch. *)
 type t = {
   name : string;
-  sets : line array array;
+  blocks : int array;
+  stamps : int array;
+  ways : int;
   set_bits : int;
   line_bits : int;
   hash_index : bool;  (* XOR-fold the block number into the set index *)
@@ -71,11 +76,16 @@ let create ?victim ?(hash_index = false) ?(policy = Lru) ~name ~sets ~ways
   if ways < 1 then invalid_arg "Cache.create: ways must be >= 1";
   if not (is_pow2 line_bytes) then
     invalid_arg "Cache.create: line_bytes not a power of 2";
+  (* One-byte lines would make the block number the raw address, which
+     can be negative and collide with the invalid-line sentinel. *)
+  if line_bytes < 2 then invalid_arg "Cache.create: line_bytes must be >= 2";
   if policy = Tree_plru && not (is_pow2 ways) then
     invalid_arg "Cache.create: Tree-PLRU needs a power-of-2 way count";
   {
     name;
-    sets = Array.init sets (fun _ -> Array.init ways (fun _ -> { block = -1; valid = false; stamp = 0 }));
+    blocks = Array.make (sets * ways) (-1);
+    stamps = Array.make (sets * ways) 0;
+    ways;
     set_bits = log2 sets;
     line_bits = log2 line_bytes;
     hash_index;
@@ -90,25 +100,25 @@ let create ?victim ?(hash_index = false) ?(policy = Lru) ~name ~sets ~ways
     last_evicted = -1;
   }
 
-let set_count c = Array.length c.sets
-
 let policy c = c.policy
 
 let index_of c block =
+  let mask = (1 lsl c.set_bits) - 1 in
   if c.hash_index then
-    (block lxor (block lsr c.set_bits) lxor (block lsr (2 * c.set_bits)))
-    land (set_count c - 1)
-  else block land (set_count c - 1)
+    (block lxor (block lsr c.set_bits) lxor (block lsr (2 * c.set_bits))) land mask
+  else block land mask
 
-(* Way holding [block], or -1.  Top-level recursion (not an inner
-   closure): without flambda an inner [rec] capturing [set]/[block]
-   allocates a closure on every access. *)
-let rec find_way_from set block n i =
-  if i >= n then -1
-  else if set.(i).valid && set.(i).block = block then i
-  else find_way_from set block n (i + 1)
+(* Slot in [i, stop) holding [block], or -1; with [block = -1] it finds
+   the first invalid slot.  Top-level recursion (not an inner closure):
+   without flambda an inner [rec] capturing [blocks]/[block] allocates a
+   closure on every access. *)
+let rec find_from (blocks : int array) (block : int) i stop =
+  if i >= stop then -1
+  else if blocks.(i) = block then i
+  else find_from blocks block (i + 1) stop
 
-let find_way set block = find_way_from set block (Array.length set) 0
+(* Slot of [block] in the set whose first slot is [base], or -1. *)
+let find_slot c base block = find_from c.blocks block base (base + c.ways)
 
 (* Tree-PLRU: leaves are ways; internal node i has children 2i+1/2i+2;
    leaf for way w is w + ways - 1.  Touching a way flips every ancestor
@@ -134,62 +144,57 @@ let plru_victim c set_idx ways =
   done;
   !i - (ways - 1)
 
-(* First invalid way, or -1. *)
-let rec invalid_way_from set n i =
-  if i >= n then -1 else if not set.(i).valid then i else invalid_way_from set n (i + 1)
-
-(* Victim way under the cache's policy, assuming every way is valid is
-   already ruled out by the caller trying [invalid_way_from] first for
-   PLRU; the stamp policies fold invalidity in directly. *)
-let lru_way set =
-  let best = ref 0 in
-  for i = 1 to Array.length set - 1 do
-    if (not set.(i).valid) && set.(!best).valid then best := i
-    else if set.(i).valid = set.(!best).valid && set.(i).stamp < set.(!best).stamp then
-      best := i
+(* Victim slot under the stamp policies: an invalid line first, else the
+   oldest (LRU) or newest (MRU) stamp; ties keep the lowest way. *)
+let lru_slot c base =
+  let blocks = c.blocks and stamps = c.stamps in
+  let best = ref base in
+  for i = base + 1 to base + c.ways - 1 do
+    let valid = blocks.(i) >= 0 and best_valid = blocks.(!best) >= 0 in
+    if (not valid) && best_valid then best := i
+    else if valid = best_valid && stamps.(i) < stamps.(!best) then best := i
   done;
   !best
 
-let mru_way set =
-  let best = ref 0 in
-  for i = 1 to Array.length set - 1 do
-    if (not set.(i).valid) && set.(!best).valid then best := i
-    else if set.(i).valid = set.(!best).valid && set.(i).stamp > set.(!best).stamp then
-      best := i
+let mru_slot c base =
+  let blocks = c.blocks and stamps = c.stamps in
+  let best = ref base in
+  for i = base + 1 to base + c.ways - 1 do
+    let valid = blocks.(i) >= 0 and best_valid = blocks.(!best) >= 0 in
+    if (not valid) && best_valid then best := i
+    else if valid = best_valid && stamps.(i) > stamps.(!best) then best := i
   done;
   !best
 
-let victim_way c set_idx set =
+let victim_slot c set_idx base =
   match c.policy with
-  | Lru -> lru_way set
-  | Mru -> mru_way set
+  | Lru -> lru_slot c base
+  | Mru -> mru_slot c base
   | Tree_plru ->
-    let n = Array.length set in
-    let w = invalid_way_from set n 0 in
-    if w >= 0 then w else plru_victim c set_idx n
+    let s = find_slot c base (-1) in
+    if s >= 0 then s else base + plru_victim c set_idx c.ways
 
-(* Refresh replacement state for a touched way. *)
-let touch c set_idx set way =
-  set.(way).stamp <- c.clock;
-  if c.policy = Tree_plru then plru_touch c set_idx way (Array.length set)
+(* Refresh replacement state for a touched slot. *)
+let touch c set_idx base slot =
+  c.stamps.(slot) <- c.clock;
+  if c.policy = Tree_plru then plru_touch c set_idx (slot - base) c.ways
 
 (* Insert [block] into set [set_idx], returning the evicted block number
    if a valid line was displaced, -1 otherwise.  If the block is already
    present (e.g. a swap-back racing an earlier spill) the existing copy
    is refreshed instead of duplicated. *)
 let insert c set_idx block =
-  let set = c.sets.(set_idx) in
-  let existing = find_way set block in
+  let base = set_idx * c.ways in
+  let existing = find_slot c base block in
   if existing >= 0 then begin
-    touch c set_idx set existing;
+    touch c set_idx base existing;
     -1
   end
   else begin
-    let way = victim_way c set_idx set in
-    let evicted = if set.(way).valid then set.(way).block else -1 in
-    set.(way).block <- block;
-    set.(way).valid <- true;
-    touch c set_idx set way;
+    let slot = victim_slot c set_idx base in
+    let evicted = c.blocks.(slot) in
+    c.blocks.(slot) <- block;
+    touch c set_idx base slot;
     evicted
   end
 
@@ -200,10 +205,9 @@ let insert c set_idx block =
    the victim set). *)
 let probe_take c addr =
   let block = addr lsr c.line_bits in
-  let set = c.sets.(index_of c block) in
-  let way = find_way set block in
-  if way >= 0 then begin
-    set.(way).valid <- false;
+  let slot = find_slot c (index_of c block * c.ways) block in
+  if slot >= 0 then begin
+    c.blocks.(slot) <- -1;
     true
   end
   else false
@@ -225,10 +229,10 @@ let access c ~write:_ addr =
   c.last_evicted <- -1;
   let block = addr lsr c.line_bits in
   let set_idx = index_of c block in
-  let set = c.sets.(set_idx) in
-  let way = find_way set block in
-  if way >= 0 then begin
-    touch c set_idx set way;
+  let base = set_idx * c.ways in
+  let slot = find_slot c base block in
+  if slot >= 0 then begin
+    touch c set_idx base slot;
     Chex86_stats.Counter.incr_handle c.counters c.h_hit;
     true
   end
@@ -262,38 +266,31 @@ let access c ~write:_ addr =
 
 let evicted_block c = c.last_evicted
 
+(* Slot of [addr]'s line in [c]'s own array, or -1. *)
+let lookup c addr =
+  let block = addr lsr c.line_bits in
+  find_slot c (index_of c block * c.ways) block
+
 (* Presence check with no side effects: no counters, no replacement
    update, no clock tick.  Checks the victim array too, so "is this line
    still cached here" means the whole structure. *)
 let peek c addr =
-  let block = addr lsr c.line_bits in
-  let set = c.sets.(index_of c block) in
-  find_way set block >= 0
-  ||
-  match c.victim with
-  | None -> false
-  | Some v ->
-    let vblock = addr lsr v.line_bits in
-    find_way v.sets.(index_of v vblock) vblock >= 0
+  lookup c addr >= 0
+  || match c.victim with None -> false | Some v -> lookup v addr >= 0
+
+let invalidate_line c addr =
+  let slot = lookup c addr in
+  if slot >= 0 then c.blocks.(slot) <- -1
 
 let invalidate c addr =
-  let block = addr lsr c.line_bits in
-  let set = c.sets.(index_of c block) in
-  let way = find_way set block in
-  if way >= 0 then set.(way).valid <- false;
-  match c.victim with
-  | None -> ()
-  | Some v ->
-    let vblock = addr lsr v.line_bits in
-    let vset = v.sets.(index_of v vblock) in
-    let vway = find_way vset vblock in
-    if vway >= 0 then vset.(vway).valid <- false
+  invalidate_line c addr;
+  match c.victim with None -> () | Some v -> invalidate_line v addr
 
 let invalidate_all c =
-  Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) c.sets;
+  Array.fill c.blocks 0 (Array.length c.blocks) (-1);
   match c.victim with
   | None -> ()
-  | Some v -> Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) v.sets
+  | Some v -> Array.fill v.blocks 0 (Array.length v.blocks) (-1)
 
 let hits c = Chex86_stats.Counter.get_handle c.counters c.h_hit
 

@@ -16,8 +16,8 @@ val policy_of_string : string -> policy option
 (** [create ?victim ?policy ~name ~sets ~ways ~line_bytes counters] —
     hit/miss events are counted as ["<name>.hit"], ["<name>.miss"] and
     ["<name>.victim_hit"] in [counters]. [sets] and [line_bytes] must be
-    powers of two and [ways >= 1] ([Invalid_argument] otherwise);
-    [Tree_plru] additionally needs a power-of-two [ways]. *)
+    powers of two, [line_bytes >= 2] and [ways >= 1] ([Invalid_argument]
+    otherwise); [Tree_plru] additionally needs a power-of-two [ways]. *)
 val create :
   ?victim:t ->
   ?hash_index:bool ->

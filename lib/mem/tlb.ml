@@ -7,25 +7,26 @@
    metadata (a side table here); the TLB caches it per entry, and entries
    are refreshed when a page first gains a spilled pointer. *)
 
-type entry = {
-  mutable vpn : int;
-  mutable valid : bool;
-  mutable stamp : int;
-  mutable alias_hosting : bool;
-}
-
+(* Way [w] of set [s] is slot [s * ways + w] of three flat int arrays
+   (DESIGN.md §6): [vpns] holds the cached page number (-1 while the way
+   is empty; page numbers are never negative), [stamps] the clock of its
+   last touch and [alias_bits] the cached alias-hosting bit (0 or 1). *)
 type t = {
   name : string;
-  sets : entry array array;
-  set_bits : int;
-  page_table_bits : (int, bool ref) Hashtbl.t;  (* vpn -> alias-hosting *)
+  vpns : int array;
+  stamps : int array;
+  alias_bits : int array;
+  ways : int;
+  set_mask : int;
+  (* Page-table alias-hosting bits: the set of hosting vpns.  An [Intset]
+     because [page_alias_bit] runs on every tracked load (DESIGN.md §6
+     keeps [Hashtbl] off the per-access path). *)
+  page_table_bits : Intset.t;
   counters : Chex86_stats.Counter.group;
   h_hit : Chex86_stats.Counter.handle;
   h_miss : Chex86_stats.Counter.handle;
   mutable clock : int;
 }
-
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ~name ~sets ~ways counters =
   (* Set indexing is [vpn land (sets - 1)], which silently aliases most
@@ -34,42 +35,37 @@ let create ~name ~sets ~ways counters =
     invalid_arg "Tlb.create: sets not a power of 2";
   {
     name;
-    sets =
-      Array.init sets (fun _ ->
-          Array.init ways (fun _ ->
-              { vpn = -1; valid = false; stamp = 0; alias_hosting = false }));
-    set_bits = log2 sets;
-    page_table_bits = Hashtbl.create 256;
+    vpns = Array.make (sets * ways) (-1);
+    stamps = Array.make (sets * ways) 0;
+    alias_bits = Array.make (sets * ways) 0;
+    ways;
+    set_mask = sets - 1;
+    page_table_bits = Intset.create ~capacity:16 ();
     counters;
     h_hit = Chex86_stats.Counter.handle counters (name ^ ".hit");
     h_miss = Chex86_stats.Counter.handle counters (name ^ ".miss");
     clock = 0;
   }
 
-let page_alias_bit t vpn =
-  match Hashtbl.find_opt t.page_table_bits vpn with
-  | Some cell -> !cell
-  | None -> false
+let page_alias_bit t vpn = Intset.mem t.page_table_bits vpn
+
+(* Slot in [i, stop) caching [vpn], or -1.  Top-level recursion: an
+   inner [rec] capturing [vpns]/[vpn] allocates a closure per access
+   without flambda. *)
+let rec find_from (vpns : int array) (vpn : int) i stop =
+  if i >= stop then -1 else if vpns.(i) = vpn then i else find_from vpns vpn (i + 1) stop
+
+let set_base t vpn = (vpn land t.set_mask) * t.ways
 
 (* Mark the page containing [addr] as hosting a spilled pointer alias;
-   refresh any cached TLB entry. *)
+   refresh the cached TLB entry, if any (a page occupies at most one way
+   of its set). *)
 let set_alias_hosting t addr =
   let vpn = addr lsr Image.page_bits in
-  (match Hashtbl.find_opt t.page_table_bits vpn with
-  | Some cell -> cell := true
-  | None -> Hashtbl.add t.page_table_bits vpn (ref true));
-  let idx = vpn land (Array.length t.sets - 1) in
-  Array.iter
-    (fun e -> if e.valid && e.vpn = vpn then e.alias_hosting <- true)
-    t.sets.(idx)
-
-(* Way holding [vpn] in [set], or -1.  Top-level recursion: an inner
-   [rec] capturing [set]/[vpn] allocates a closure per access without
-   flambda. *)
-let rec find_way_from set vpn n i =
-  if i >= n then -1
-  else if set.(i).valid && set.(i).vpn = vpn then i
-  else find_way_from set vpn n (i + 1)
+  Intset.add t.page_table_bits vpn;
+  let base = set_base t vpn in
+  let slot = find_from t.vpns vpn base (base + t.ways) in
+  if slot >= 0 then t.alias_bits.(slot) <- 1
 
 (* [lookup_hit t addr] is the per-access timing probe: true on hit.  A
    miss triggers a (modelled) page walk and fills the entry with the
@@ -78,28 +74,26 @@ let rec find_way_from set vpn n i =
 let lookup_hit t addr =
   t.clock <- t.clock + 1;
   let vpn = addr lsr Image.page_bits in
-  let idx = vpn land (Array.length t.sets - 1) in
-  let set = t.sets.(idx) in
-  let n = Array.length set in
-  let way = find_way_from set vpn n 0 in
-  if way >= 0 then begin
-    set.(way).stamp <- t.clock;
+  let base = set_base t vpn in
+  let slot = find_from t.vpns vpn base (base + t.ways) in
+  if slot >= 0 then begin
+    t.stamps.(slot) <- t.clock;
     Chex86_stats.Counter.incr_handle t.counters t.h_hit;
     true
   end
   else begin
     Chex86_stats.Counter.incr_handle t.counters t.h_miss;
-    let way = ref 0 in
-    for i = 1 to n - 1 do
-      if (not set.(i).valid) && set.(!way).valid then way := i
-      else if set.(i).valid = set.(!way).valid && set.(i).stamp < set.(!way).stamp then
-        way := i
+    (* LRU fill: an empty way first, else the oldest stamp. *)
+    let vpns = t.vpns and stamps = t.stamps in
+    let way = ref base in
+    for i = base + 1 to base + t.ways - 1 do
+      let valid = vpns.(i) >= 0 and best_valid = vpns.(!way) >= 0 in
+      if (not valid) && best_valid then way := i
+      else if valid = best_valid && stamps.(i) < stamps.(!way) then way := i
     done;
-    let e = set.(!way) in
-    e.vpn <- vpn;
-    e.valid <- true;
-    e.stamp <- t.clock;
-    e.alias_hosting <- page_alias_bit t vpn;
+    vpns.(!way) <- vpn;
+    stamps.(!way) <- t.clock;
+    t.alias_bits.(!way) <- (if page_alias_bit t vpn then 1 else 0);
     false
   end
 
@@ -109,9 +103,7 @@ let lookup_hit t addr =
 let lookup t addr =
   let hit = lookup_hit t addr in
   let vpn = addr lsr Image.page_bits in
-  let set = t.sets.(vpn land (Array.length t.sets - 1)) in
-  let way = find_way_from set vpn (Array.length set) 0 in
-  (hit, set.(way).alias_hosting)
+  let base = set_base t vpn in
+  (hit, t.alias_bits.(find_from t.vpns vpn base (base + t.ways)) = 1)
 
-let alias_hosting_pages t =
-  Hashtbl.fold (fun _ cell acc -> if !cell then acc + 1 else acc) t.page_table_bits 0
+let alias_hosting_pages t = Intset.cardinal t.page_table_bits

@@ -262,11 +262,11 @@ let test_predictor_constant_and_stride () =
   let g = Chex86_stats.Counter.create_group () in
   let p = Alias_predictor.create g in
   for _ = 1 to 4 do
-    Alias_predictor.update p 0x400100 ~actual:9
+    Alias_predictor.update ~alias_page:true p 0x400100 ~actual:9
   done;
   Alcotest.(check int) "constant learned" 9 (Alias_predictor.predict p 0x400100);
   for i = 1 to 6 do
-    Alias_predictor.update p 0x400200 ~actual:(10 + i)
+    Alias_predictor.update ~alias_page:true p 0x400200 ~actual:(10 + i)
   done;
   Alcotest.(check int) "stride learned" 17 (Alias_predictor.predict p 0x400200)
 

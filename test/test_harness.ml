@@ -44,6 +44,37 @@ let test_figure_shapes () =
     (asan.Runner.shadow_bytes > 0 && pred.Runner.shadow_bytes > 0);
   Alcotest.(check int) "baseline has no shadow storage" 0 base.Runner.shadow_bytes
 
+(* Regression: a headline aggregate over no completed workload took the
+   geometric mean of an empty set and printed it as a result:
+   "SPEC: CHEx86 (prediction) slowdown vs insecure: -100.0%; speedup vs
+   ASan: 0.00x" and a "-100% (avg)" Table IV row, exit 0.  An empty
+   aggregate renders n/a and says why; a partial one names its coverage.
+   The sweep is two PARSEC workloads (so no SPEC one), with canneal's
+   ASan cell crashed by an injected fault.  CHEX86_WORKLOADS is read on
+   the process's first [Experiments.workloads] call, which this is. *)
+let test_empty_aggregates_render_na () =
+  Unix.putenv "CHEX86_WORKLOADS" "blackscholes,canneal";
+  Alcotest.(check (list string)) "swept workloads" [ "blackscholes"; "canneal" ]
+    (List.map (fun (w : Chex86_workloads.Bench_spec.t) -> w.name) (Experiments.workloads ()));
+  let faulted = Runner.job_key (Runner.job ~scale:Experiments.scale Runner.Asan (W.find "canneal")) in
+  Chex86_harness.Faultinject.arm
+    (Chex86_harness.Faultinject.of_list [ (faulted, Chex86_harness.Faultinject.crash ()) ]);
+  let fig6, table4 =
+    Fun.protect ~finally:Chex86_harness.Faultinject.disarm (fun () ->
+        (Experiments.figure6 (), Experiments.table4 ()))
+  in
+  Alcotest.(check bool) "no -100" false (contains ~needle:"-100" fig6 || contains ~needle:"-100" table4);
+  Alcotest.(check bool) "SPEC headline is n/a" true
+    (contains
+       ~needle:
+         "SPEC: CHEx86 (prediction) slowdown vs insecure: n/a; speedup vs ASan: n/a (no SPEC \
+          workloads in this sweep)"
+       fig6);
+  Alcotest.(check bool) "PARSEC headline names its coverage" true
+    (contains ~needle:"(over 1 of 2 PARSEC workloads; 1 faulted)" fig6);
+  Alcotest.(check bool) "Table IV's measured row is n/a" true
+    (contains ~needle:"n/a" table4 && contains ~needle:"(no SPEC workloads in this sweep)" table4)
+
 let test_capability_cache_sensitivity () =
   (* Fig 7: a larger capability cache cannot have a higher miss rate. *)
   let w = W.find "perlbench" in
@@ -285,6 +316,8 @@ let () =
         ] );
       ( "experiments",
         [
+          Alcotest.test_case "empty aggregates render n/a" `Quick
+            test_empty_aggregates_render_na;
           Alcotest.test_case "figure shapes" `Slow test_figure_shapes;
           Alcotest.test_case "cap cache sensitivity" `Slow
             test_capability_cache_sensitivity;

@@ -278,6 +278,39 @@ let test_bpred_btb () =
   ignore (Bpred.resolve bp ~pc:0x400100 ~kind:Uop.Indirect ~taken:true ~target:0x400800);
   Alcotest.(check int) "second indirect hits BTB" 1 (Counter.get g "bpred.btb_correct")
 
+(* Pins the direction predictor on a fixed stream mixing loop,
+   history-correlated, biased and noisy branches over 64 sites, enough
+   to allocate and age entries in all three tagged tables.  The count
+   was recorded before the tables were packed into flat arrays; a
+   standalone [Bpred.t] is fully built and must predict exactly as it
+   did. *)
+let test_bpred_pinned_stream () =
+  let g = Counter.create_group () in
+  let bp = Bpred.create g in
+  let state = ref 12345 in
+  let rand () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
+    !state lsr 12
+  in
+  let last = ref false and correct = ref 0 in
+  for i = 0 to 19_999 do
+    let site = rand () mod 64 in
+    let pc = 0x400000 + (site * 12) in
+    let taken =
+      match site mod 4 with
+      | 0 -> i mod 7 <> 0
+      | 1 -> !last
+      | 2 -> rand () mod 3 = 0
+      | _ -> site land 8 = 0
+    in
+    last := taken;
+    if Bpred.predict_direction bp pc = taken then incr correct;
+    ignore (Bpred.resolve bp ~pc ~kind:(Uop.Cond Insn.Ne) ~taken ~target:(pc - 64))
+  done;
+  Alcotest.(check int) "correct predictions" 15298 !correct;
+  Alcotest.(check int) "resolve agrees with predict_direction" !correct
+    (Counter.get g "bpred.cond_correct")
+
 let timed_run program =
   let proc = Chex86_os.Process.load program in
   let sim = Simulator.create proc in
@@ -445,6 +478,34 @@ let test_store_forwarding_survives_old_threshold () =
     (Printf.sprintf "forwarding survives 8192+ stores (%d < %d)" forwarded displaced)
     true (forwarded < displaced)
 
+let timing_counters (r : Simulator.result) =
+  List.filter
+    (fun (name, _) ->
+      String.starts_with ~prefix:"pipeline." name || String.starts_with ~prefix:"bpred." name)
+    (Counter.to_list r.Simulator.counters)
+
+(* The branch predictor and the forwarding table are built by the first
+   timed step, but their counters are registered with the machine: a
+   functional run lists every [pipeline.*] and [bpred.*] counter a timed
+   run does, each at 0. *)
+let test_functional_run_lists_timing_counters () =
+  let program () =
+    let b = Asm.create () in
+    Asm.label b "_start";
+    Asm.loop_n b ~counter:R15 ~n:100 (fun () -> Asm.emit b (Insn.Inc (Reg RAX)));
+    Asm.emit b Halt;
+    Asm.build b
+  in
+  let run f = f (Simulator.create (Chex86_os.Process.load (program ()))) in
+  let functional = timing_counters (run (fun sim -> Simulator.run_functional sim)) in
+  let timed = timing_counters (run (fun sim -> Simulator.run sim)) in
+  Alcotest.(check (list string)) "same timing counters" (List.map fst timed)
+    (List.map fst functional);
+  Alcotest.(check int) "8 pipeline + 6 bpred counters" 14 (List.length functional);
+  List.iter (fun (name, v) -> Alcotest.(check int) name 0 v) functional;
+  Alcotest.(check bool) "the timed run predicted branches" true
+    (List.assoc "bpred.cond_correct" timed > 0)
+
 let test_simulator_budget () =
   let b = Asm.create () in
   Asm.label b "_start";
@@ -479,6 +540,7 @@ let () =
           Alcotest.test_case "learns loop" `Quick test_bpred_learns_loop;
           Alcotest.test_case "RAS" `Quick test_bpred_ras;
           Alcotest.test_case "BTB" `Quick test_bpred_btb;
+          Alcotest.test_case "pinned stream" `Quick test_bpred_pinned_stream;
         ] );
       ( "timing",
         [
@@ -490,5 +552,7 @@ let () =
           Alcotest.test_case "fetch kill-burst carry" `Quick test_fetch_kill_burst_carry;
           Alcotest.test_case "store forwarding past old threshold" `Quick
             test_store_forwarding_survives_old_threshold;
+          Alcotest.test_case "functional run lists timing counters" `Quick
+            test_functional_run_lists_timing_counters;
         ] );
     ]

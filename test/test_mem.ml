@@ -140,6 +140,10 @@ let test_cache_rejects_bad_geometry () =
         "Cache.create: line_bytes not a power of 2"
         (fun () -> Cache.create ~name:"c" ~sets:16 ~ways:2 ~line_bytes g))
     [ 0; 48; 100 ];
+  (* One-byte lines would make a negative address a negative block
+     number, which the packed arrays use as the invalid-line mark. *)
+  reject "line_bytes=1 rejected" "Cache.create: line_bytes must be >= 2" (fun () ->
+      Cache.create ~name:"c" ~sets:16 ~ways:2 ~line_bytes:1 g);
   reject "ways=0 rejected" "Cache.create: ways must be >= 1" (fun () ->
       Cache.create ~name:"c" ~sets:16 ~ways:0 ~line_bytes:64 g);
   reject "Tree-PLRU non-pow2 ways rejected"
@@ -186,6 +190,284 @@ let test_cache_hashed_index_spreads () =
   done;
   let hits = Counter.get g "h.hit" in
   Alcotest.(check bool) (Printf.sprintf "mostly hits (%d)" hits) true (hits > 350)
+
+(* --- lockstep reference model for the packed cache ------------------- *)
+
+(* A list-based set-associative cache written from the documented
+   behaviour, not from the packed implementation: each set is the list
+   of its valid lines, LRU/MRU pick by last-touch time, and Tree-PLRU
+   walks an explicit binary tree.  A victim buffer is another reference
+   cache: a main-array miss takes the block out of the victim if it is
+   there, installs it in the main array, hands the main casualty to the
+   victim, and whatever the victim displaces leaves the structure. *)
+module Ref_cache = struct
+  type line = { way : int; block : int; stamp : int }
+
+  (* [go_right] is where the victim walk turns at this node. *)
+  type plru = Leaf | Node of { mutable go_right : bool; left : plru; right : plru }
+
+  type t = {
+    sets : int;
+    ways : int;
+    line_bits : int;
+    hashed : bool;
+    policy : Cache.policy;
+    lines : line list array;
+    trees : plru array;
+    victim : t option;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable victim_hits : int;
+    mutable evicted : int;
+  }
+
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+  let rec tree n =
+    if n <= 1 then Leaf
+    else Node { go_right = false; left = tree (n / 2); right = tree (n / 2) }
+
+  let create ?victim ?(hashed = false) ?(policy = Cache.Lru) ~sets ~ways ~line_bytes () =
+    {
+      sets;
+      ways;
+      line_bits = log2 line_bytes;
+      hashed;
+      policy;
+      lines = Array.make sets [];
+      trees = Array.init sets (fun _ -> tree ways);
+      victim;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      victim_hits = 0;
+      evicted = -1;
+    }
+
+  let set_of r block =
+    let bits = log2 r.sets in
+    let folded =
+      if r.hashed then block lxor (block lsr bits) lxor (block lsr (2 * bits)) else block
+    in
+    folded land (r.sets - 1)
+
+  (* Point every node on way [w]'s path away from it. *)
+  let rec plru_touch node n w =
+    match node with
+    | Leaf -> ()
+    | Node nd ->
+      let half = n / 2 in
+      if w < half then begin
+        nd.go_right <- true;
+        plru_touch nd.left half w
+      end
+      else begin
+        nd.go_right <- false;
+        plru_touch nd.right half (w - half)
+      end
+
+  let rec plru_victim node n =
+    match node with
+    | Leaf -> 0
+    | Node nd ->
+      let half = n / 2 in
+      if nd.go_right then half + plru_victim nd.right half else plru_victim nd.left half
+
+  let find r set block = List.find_opt (fun l -> l.block = block) r.lines.(set)
+
+  let put r set (l : line) =
+    r.lines.(set) <- l :: List.filter (fun (o : line) -> o.way <> l.way) r.lines.(set);
+    if r.policy = Cache.Tree_plru then plru_touch r.trees.(set) r.ways l.way
+
+  let oldest = List.fold_left (fun (a : line) (b : line) -> if b.stamp < a.stamp then b else a)
+  let newest = List.fold_left (fun (a : line) (b : line) -> if b.stamp > a.stamp then b else a)
+
+  (* Install [block] in [set] at the current time; the displaced block,
+     or -1.  Free ways fill first, lowest way first. *)
+  let install r set block =
+    match find r set block with
+    | Some l ->
+      put r set { l with stamp = r.clock };
+      -1
+    | None -> (
+      let used w = List.exists (fun (l : line) -> l.way = w) r.lines.(set) in
+      match List.filter (fun w -> not (used w)) (List.init r.ways Fun.id) with
+      | w :: _ ->
+        put r set { way = w; block; stamp = r.clock };
+        -1
+      | [] ->
+        let out =
+          match (r.policy, r.lines.(set)) with
+          | _, [] -> assert false
+          | Cache.Lru, l :: ls -> oldest l ls
+          | Cache.Mru, l :: ls -> newest l ls
+          | Cache.Tree_plru, ls ->
+            let w = plru_victim r.trees.(set) r.ways in
+            List.find (fun (l : line) -> l.way = w) ls
+        in
+        put r set { way = out.way; block; stamp = r.clock };
+        out.block)
+
+  let remove r set block =
+    let before = List.length r.lines.(set) in
+    r.lines.(set) <- List.filter (fun (l : line) -> l.block <> block) r.lines.(set);
+    List.length r.lines.(set) < before
+
+  let present r addr =
+    let block = addr lsr r.line_bits in
+    find r (set_of r block) block <> None
+
+  let access r addr =
+    r.clock <- r.clock + 1;
+    r.evicted <- -1;
+    let block = addr lsr r.line_bits in
+    let set = set_of r block in
+    match find r set block with
+    | Some l ->
+      put r set { l with stamp = r.clock };
+      r.hits <- r.hits + 1;
+      true
+    | None ->
+      let from_victim =
+        match r.victim with
+        | None -> false
+        | Some v ->
+          v.clock <- v.clock + 1;
+          remove v (set_of v block) block
+      in
+      if from_victim then r.victim_hits <- r.victim_hits + 1 else r.misses <- r.misses + 1;
+      let casualty = install r set block in
+      (r.evicted <-
+         match r.victim with
+         | None -> casualty
+         | Some v -> if casualty < 0 then -1 else install v (set_of v casualty) casualty);
+      from_victim
+
+  let peek r addr = present r addr || match r.victim with None -> false | Some v -> present v addr
+
+  let invalidate r addr =
+    let drop r =
+      let block = addr lsr r.line_bits in
+      ignore (remove r (set_of r block) block)
+    in
+    drop r;
+    Option.iter drop r.victim
+end
+
+type geometry = {
+  g_sets : int;
+  g_ways : int;
+  g_line : int;
+  g_hashed : bool;
+  g_policy : Cache.policy;
+  g_victim : int;  (* fully associative LRU victim entries; 0 = none *)
+}
+
+let geometry_name g =
+  Printf.sprintf "%dx%d %s%s line %d victim %d" g.g_sets g.g_ways
+    (Cache.policy_name g.g_policy)
+    (if g.g_hashed then " hashed" else "")
+    g.g_line g.g_victim
+
+(* The alias cache of the default CHEx86 variant: 128 sets x 2 ways,
+   hashed, 8-byte granules, 32-entry victim. *)
+let alias_geometry =
+  { g_sets = 128; g_ways = 2; g_line = 8; g_hashed = true; g_policy = Cache.Lru; g_victim = 32 }
+
+let small_geometries =
+  List.concat_map
+    (fun g_policy ->
+      List.concat_map
+        (fun (g_sets, g_ways) ->
+          List.concat_map
+            (fun g_hashed ->
+              List.map
+                (fun g_victim -> { g_sets; g_ways; g_line = 64; g_hashed; g_policy; g_victim })
+                [ 0; 1; 3 ])
+            [ false; true ])
+        [ (1, 1); (1, 4); (2, 2); (4, 2); (4, 8); (16, 1) ])
+    [ Cache.Lru; Cache.Tree_plru; Cache.Mru ]
+
+type op = Access of int | Invalidate of int | Peek of int
+
+let op_name = function
+  | Access a -> Printf.sprintf "access 0x%x" a
+  | Invalidate a -> Printf.sprintf "invalidate 0x%x" a
+  | Peek a -> Printf.sprintf "peek 0x%x" a
+
+(* Blocks are drawn from about three times what the structure holds,
+   half of them from the first third of that range, so streams mix hits,
+   conflict misses, victim round trips and capacity evictions. *)
+let gen_case geometries =
+  let open QCheck.Gen in
+  let* g = oneofl geometries in
+  let capacity = (g.g_sets * g.g_ways) + g.g_victim in
+  let block = frequency [ (1, int_bound (capacity + 1)); (1, int_bound ((3 * capacity) + 2)) ] in
+  let addr = map2 (fun b off -> (b * g.g_line) + off) block (int_bound (g.g_line - 1)) in
+  let op =
+    frequency
+      [
+        (8, map (fun a -> Access a) addr);
+        (1, map (fun a -> Invalidate a) addr);
+        (1, map (fun a -> Peek a) addr);
+      ]
+  in
+  let* ops = list_size (int_range 1 (40 * capacity)) op in
+  return (g, ops)
+
+let lockstep_prop (g, ops) =
+  let counters = Counter.create_group () in
+  let victim, ref_victim =
+    if g.g_victim = 0 then (None, None)
+    else
+      ( Some (Cache.create ~name:"v" ~sets:1 ~ways:g.g_victim ~line_bytes:g.g_line counters),
+        Some (Ref_cache.create ~sets:1 ~ways:g.g_victim ~line_bytes:g.g_line ()) )
+  in
+  let c =
+    Cache.create ?victim ~hash_index:g.g_hashed ~policy:g.g_policy ~name:"c" ~sets:g.g_sets
+      ~ways:g.g_ways ~line_bytes:g.g_line counters
+  in
+  let r =
+    Ref_cache.create ?victim:ref_victim ~hashed:g.g_hashed ~policy:g.g_policy ~sets:g.g_sets
+      ~ways:g.g_ways ~line_bytes:g.g_line ()
+  in
+  List.iteri
+    (fun step op ->
+      let got, want =
+        match op with
+        | Access a ->
+          let got = Cache.access c ~write:false a and want = Ref_cache.access r a in
+          ( (got, Cache.evicted_block c, Counter.get counters "c.hit",
+             Counter.get counters "c.miss", Counter.get counters "c.victim_hit"),
+            (want, r.evicted, r.hits, r.misses, r.victim_hits) )
+        | Invalidate a ->
+          Cache.invalidate c a;
+          Ref_cache.invalidate r a;
+          ((false, 0, 0, 0, 0), (false, 0, 0, 0, 0))
+        | Peek a ->
+          let got = Cache.peek c a and want = Ref_cache.peek r a in
+          ((got, 0, 0, 0, 0), (want, 0, 0, 0, 0))
+      in
+      if got <> want then
+        let show (b, e, h, m, v) = Printf.sprintf "%b evicted=%d hit=%d miss=%d victim_hit=%d" b e h m v in
+        QCheck.Test.fail_reportf "%s, step %d (%s): cache %s, reference %s" (geometry_name g) step
+          (op_name op) (show got) (show want))
+    ops;
+  true
+
+let print_case (g, ops) =
+  Printf.sprintf "%s: %s" (geometry_name g) (String.concat "; " (List.map op_name ops))
+
+let qcheck_cache_lockstep =
+  QCheck.Test.make ~name:"packed cache = reference model (small geometries)" ~count:500
+    (QCheck.make ~print:print_case (gen_case small_geometries))
+    lockstep_prop
+
+let qcheck_alias_cache_lockstep =
+  QCheck.Test.make ~name:"packed cache = reference model (alias cache + victim)" ~count:40
+    (QCheck.make ~print:print_case (gen_case [ alias_geometry ]))
+    lockstep_prop
 
 let test_tlb_alias_bits () =
   let g = Counter.create_group () in
@@ -304,6 +586,8 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "hashed index spreads strides" `Quick
             test_cache_hashed_index_spreads;
+          QCheck_alcotest.to_alcotest qcheck_cache_lockstep;
+          QCheck_alcotest.to_alcotest qcheck_alias_cache_lockstep;
         ] );
       ( "tlb",
         [
