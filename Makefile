@@ -52,16 +52,21 @@ fault-smoke: build
 		dune exec bench/main.exe -- --jobs 2 --no-cache --strict figure6 \
 		> /dev/null
 
-# Distributed dispatch sanity, two legs:
+# Distributed dispatch sanity, three legs:
 #  1. the full security sweep sharded over 2 spawned worker processes
 #     must block every exploit (exit 0);
 #  2. the same under injected worker kills: workers SIGKILL themselves
 #     mid-chunk, the supervisor respawns them and re-sends the owed
-#     tasks, and the sweep still completes.
+#     tasks, and the sweep still completes;
+#  3. a figure-6 sweep whose tasks each run for seconds, under a
+#     heartbeat shorter than they take: healthy workers keep beating,
+#     so nothing is killed and --strict exits 0.
 remote-smoke: build
 	./_build/default/bin/security_eval.exe --workers 2 --no-cache
 	CHEX86_FAULT_RATE=0.003 CHEX86_FAULT_SEED=7 CHEX86_FAULT_KIND=kill \
 		./_build/default/bin/security_eval.exe --workers 2 --no-cache
+	CHEX86_WORKLOADS=freqmine ./_build/default/bench/main.exe --workers 1 \
+		--heartbeat 0.5 --no-cache --strict figure6 > /dev/null
 
 # Telemetry sanity: a traced + metered security sweep over 2 worker
 # processes must (1) leave a trace the trace-summary validator accepts

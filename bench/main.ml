@@ -14,11 +14,12 @@
    tasks into chunks of N per dispatch (default: auto, about four
    chunks per worker); results are bit-identical at any batch size
    too. Sweeps are supervised:
-   a crashing or wedged task degrades its cells to FAULTED/TIMEOUT
-   instead of killing the run (--retries N / --task-timeout S bound
-   each task; --strict flips the exit code when anything faulted), and
-   completed runs checkpoint to _chex86_cache/ so an interrupted
-   invocation resumes where it stopped (--cache-dir / --no-cache). The
+   a crashing task degrades its cells to FAULTED instead of killing the
+   run (--strict flips the exit code when anything faulted; under
+   --workers N a worker that stops responding for --heartbeat S is
+   killed and its cell reads LOST), and completed runs checkpoint to
+   _chex86_cache/ so an interrupted invocation resumes where it stopped
+   (--cache-dir / --no-cache). The
    per-experiment index mapping each target to the paper's table or
    figure lives in DESIGN.md; EXPERIMENTS.md records the
    paper-vs-measured comparison of a full run. *)
@@ -404,8 +405,8 @@ let targets =
 
 let () =
   (* Cli.parse_common strips the sweep flags (--jobs, --strict,
-     --retries, --task-timeout, --cache-dir, ...) and applies them to
-     the process-wide knobs; whatever remains are target names. *)
+     --cache-dir, --workers, ...) and applies them to the process-wide
+     knobs; whatever remains are target names. *)
   let requested = Chex86_harness.Cli.parse_common (List.tl (Array.to_list Sys.argv)) in
   let chosen =
     if requested = [] then List.map fst targets
@@ -426,7 +427,7 @@ let () =
   | Chex86_harness.Remote.Off ->
     Printf.printf "[domain pool: %d job(s)]\n%!" (Pool.jobs ())
   | Chex86_harness.Remote.Spawn n ->
-    Printf.printf "[worker processes: %d spawned, heartbeat %.0fs]\n%!" n
+    Printf.printf "[worker processes: %d spawned, heartbeat %gs]\n%!" n
       (Chex86_harness.Remote.heartbeat ()));
   List.iter
     (fun name ->

@@ -6,13 +6,12 @@
    domain count - 1; results are bit-identical at any job count).
    --batch-size N dispatches the exploits in chunks of N (default:
    auto-sized, about four chunks per worker); results are bit-identical
-   at any batch size. The sweep is supervised: a crashing or wedged
-   evaluation is reported and the rest — including the faulted task's
-   chunk-mates — completes (--retries / --task-timeout bound each task;
-   --strict makes any fault flip the exit code). --workers N moves the
-   sweep into N spawned worker processes: same results, but a wedged
-   evaluation is killed at the --heartbeat deadline instead of holding
-   a domain forever. *)
+   at any batch size. The sweep is supervised: a crashing evaluation is
+   reported and the rest — including the faulted task's chunk-mates —
+   completes (--strict makes any fault flip the exit code). --workers N
+   moves the sweep into N spawned worker processes: same results, but a
+   worker that stops responding is killed at the --heartbeat deadline
+   instead of holding the sweep forever. *)
 
 module Runner = Chex86_harness.Runner
 module Security = Chex86_harness.Security
@@ -115,8 +114,8 @@ let () =
   end;
   let verbose = opts.verbose in
   let slots, _stats, report =
-    (* Root span: groups the suite sweep (and any retries inside it)
-       under one top-level node in trace-summary output. *)
+    (* Root span: groups the suite sweep under one top-level node in
+       trace-summary output. *)
     Chex86_harness.Trace.with_span ~stage:"security-eval"
       [ ("exploits", string_of_int (List.length Chex86_exploits.Exploits.all)) ]
       (fun () -> Security.sweep_stats_supervised Chex86_exploits.Exploits.all)
@@ -148,7 +147,7 @@ let () =
   let blocked = List.length (List.filter Security.blocked results) in
   Printf.printf "\n%d/%d exploits blocked under CHEx86 (micro-code prediction driven)\n"
     blocked total;
-  if report.Pool.crashed + report.Pool.timed_out + report.Pool.worker_lost > 0
+  if report.Pool.crashed + report.Pool.worker_lost > 0
      || report.Pool.worker_losses > 0
   then print_endline (Pool.render_fault_report report);
   Cli.exit_for_faults ();

@@ -15,13 +15,11 @@ let common_flags_doc =
   \  --batch-size N      tasks per dispatched chunk (>= 1, or 'auto': ~4 chunks/worker)\n\
   \  --strict            exit 1 if any task faulted; unknown CHEX86_WORKLOADS error\n\
   \  --keep-going        report faults and continue (default)\n\
-  \  --retries N         retry budget per faulted task (default 0)\n\
-  \  --task-timeout S    per-task wall budget in seconds (cooperative)\n\
   \  --cache-dir DIR     on-disk result store location (default _chex86_cache)\n\
   \  --no-cache          disable the on-disk result store\n\
   \  --cpu PRESET        select the \xc2\xb5arch preset (skylake, nehalem, tiny)\n\
   \  --workers N         shard sweeps over N spawned worker processes (0 = off)\n\
-  \  --heartbeat S       worker liveness deadline in seconds (default 30)\n\
+  \  --heartbeat S       seconds of worker silence before it is killed (default 30)\n\
   \  --trace FILE        write structured span events (JSONL) to FILE\n\
   \  --metrics FILE      dump merged sweep counters/histograms to FILE as JSON at exit"
 
@@ -50,16 +48,6 @@ let set_batch_size value =
     match int_of_string_opt value with
     | Some n when n >= 1 -> Pool.set_batch_size (Some n)
     | _ -> die "invalid --batch-size value %S (expected an integer >= 1 or 'auto')" value)
-
-let set_retries value =
-  match int_of_string_opt value with
-  | Some n when n >= 0 -> Pool.set_retries n
-  | _ -> die "invalid --retries value %S (expected an integer >= 0)" value
-
-let set_task_timeout value =
-  match float_of_string_opt value with
-  | Some s when s > 0. -> Pool.set_task_timeout (Some s)
-  | _ -> die "invalid --task-timeout value %S (expected seconds > 0)" value
 
 let parse_workers value =
   match int_of_string_opt value with
@@ -102,14 +90,6 @@ let parse_common args =
     | "--keep-going" :: rest ->
       Pool.set_strict false;
       go rest
-    | "--retries" :: value :: rest ->
-      set_retries value;
-      go rest
-    | "--retries" :: [] -> die "missing value for --retries"
-    | "--task-timeout" :: value :: rest ->
-      set_task_timeout value;
-      go rest
-    | "--task-timeout" :: [] -> die "missing value for --task-timeout"
     | "--cache-dir" :: value :: rest ->
       if value = "" then die "invalid --cache-dir value: empty";
       cache_dir := Some value;

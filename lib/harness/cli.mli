@@ -3,9 +3,9 @@
 
     [parse_common args] strips the common sweep flags — [--jobs]/[-j],
     [--batch-size] (an integer or ['auto']), [--strict], [--keep-going],
-    [--retries], [--task-timeout], [--cache-dir], [--no-cache],
-    [--cpu PRESET], [--workers N] (spawned worker processes),
-    [--heartbeat], [--trace FILE] (structured span events as JSONL),
+    [--cache-dir], [--no-cache], [--cpu PRESET], [--workers N] (spawned
+    worker processes), [--heartbeat S] (seconds of worker silence
+    before a kill), [--trace FILE] (structured span events as JSONL),
     [--metrics FILE] (merged sweep stats as JSON at exit) (each also as
     [--flag=value]) — applies them to the process-wide knobs ({!Pool},
     {!Runner.Store}, {!Remote}, {!Trace}), arms the fault-injection plan

@@ -99,13 +99,12 @@ let workloads () =
    full classification is in the appended fault report. *)
 let fault_cell = function
   | Pool.Crashed _ -> "FAULTED"
-  | Pool.Timed_out _ -> "TIMEOUT"
   | Pool.Worker_lost _ -> "LOST"
 
 (* Appended to a figure when its sweep had faults (also the marker
    [make fault-smoke] greps for). *)
 let fault_footer (report : Pool.fault_report) =
-  if report.Pool.crashed + report.Pool.timed_out + report.Pool.worker_lost > 0
+  if report.Pool.crashed + report.Pool.worker_lost > 0
   then [ ""; Pool.render_fault_report report ]
   else []
 

@@ -1,16 +1,15 @@
 (* Deterministic fault injection for the supervised sweep engine.
 
    A [plan] decides, from a task's stable key alone, whether that task
-   crashes or stalls, or whether its remote worker or request frame
-   fails.  Keys are the same stable identifiers the pool seeds RNG
-   streams from ([Runner.job_key], exploit names), so a plan fires on
-   exactly the same tasks at any job count, across retries, and across
-   processes — the injection is as reproducible as the sweep itself.
+   crashes, or whether its remote worker or request frame fails.  Keys
+   are the same stable identifiers the pool seeds RNG streams from
+   ([Runner.job_key], exploit names), so a plan fires on exactly the
+   same tasks at any job count and across processes — the injection is
+   as reproducible as the sweep itself.
 
    The armed plan is consulted from two places:
-   - [Pool] supervision queries [fault_for] before each task attempt
-     (crashes raise [Injected_crash]; slowdowns sleep, then the pool's
-     cooperative deadline check fires);
+   - [Pool] supervision queries [crash_for] before each task runs
+     (a crash raises [Injected_crash]);
    - [Remote] queries [worker_kill_for] (worker side) and
      [transport_fault_for] (supervisor side) per chunk.
 
@@ -22,7 +21,6 @@ exception Injected_crash of string
 
 type kind =
   | Crash
-  | Slow of float  (* seconds *)
   | Kill_worker  (* the remote worker SIGKILLs itself mid-chunk *)
   | Drop_frame  (* the transport silently swallows the chunk's frame *)
   | Corrupt_frame  (* flip a payload byte after the digest is computed *)
@@ -30,8 +28,8 @@ type kind =
 
 type directive = { kind : kind; attempts : int }
 
-let crash ?(attempts = 1) () = { kind = Crash; attempts }
-let slow ?(attempts = 1) seconds = { kind = Slow seconds; attempts }
+(* A crash fires on every run of its task, so [attempts] is unused. *)
+let crash () = { kind = Crash; attempts = 1 }
 let kill_worker ?(attempts = 1) () = { kind = Kill_worker; attempts }
 let drop_frame ?(attempts = 1) () = { kind = Drop_frame; attempts }
 let corrupt_frame ?(attempts = 1) () = { kind = Corrupt_frame; attempts }
@@ -245,7 +243,8 @@ let points_of_spec spec =
 
 (* CHEX86_FAULT_RATE=0.5 [CHEX86_FAULT_SEED=11] [CHEX86_FAULT_KIND=kill]:
    every task whose key hashes under the rate fires the selected
-   directive on its first attempt (default: crash). *)
+   directive: a crash on every run (the default), a worker kill on the
+   first dispatch. *)
 let directive_of_kind_spec = function
   | None | Some "" | Some "crash" -> Ok (crash ())
   | Some "kill" -> Ok (kill_worker ())
@@ -321,11 +320,8 @@ let arm_from_env () =
 
 let directive_for key = (!current).lookup key
 
-let fault_for ~key ~attempt =
-  match directive_for key with
-  | Some { kind = (Crash | Slow _) as kind; attempts } when attempt < attempts ->
-    Some kind
-  | _ -> None
+let crash_for key =
+  match directive_for key with Some { kind = Crash; _ } -> true | _ -> false
 
 (* Consulted by the remote *worker* before each task of a chunk: a
    matching directive makes the worker SIGKILL itself, modelling an OOM

@@ -11,9 +11,6 @@ exception Injected_crash of string
 
 type kind =
   | Crash  (** raise [Injected_crash] before the task body runs *)
-  | Slow of float
-      (** sleep this many seconds before the task body, so a per-task
-          wall budget's cooperative deadline check fires *)
   | Kill_worker
       (** the remote worker SIGKILLs itself before running this task,
           modelling an OOM kill / fatal native crash mid-chunk *)
@@ -26,13 +23,11 @@ type kind =
   | Delay_frame of float  (** stall the chunk's request frame *)
 
 type directive = { kind : kind; attempts : int }
-(** [attempts] is how many attempts of the task fault ([Crash]/[Slow]
-    fire while [attempt < attempts], so retried attempts succeed once
-    the budget is spent; for the transport kinds the budget counts the
-    chunk's {e dispatch} attempts). *)
+(** [attempts] is how many of the chunk's {e dispatch} attempts the
+    worker-kill and transport kinds fault; a [Crash] ignores it and
+    fires on every run of its task. *)
 
-val crash : ?attempts:int -> unit -> directive
-val slow : ?attempts:int -> float -> directive
+val crash : unit -> directive
 val kill_worker : ?attempts:int -> unit -> directive
 val drop_frame : ?attempts:int -> unit -> directive
 val corrupt_frame : ?attempts:int -> unit -> directive
@@ -122,8 +117,9 @@ val arm_from_env : unit -> (bool, string) result
     this to ship a chunk's slice of the plan to the worker process. *)
 val directive_for : string -> directive option
 
-(** Consulted by [Pool] before each task attempt ([Crash]/[Slow] only). *)
-val fault_for : key:string -> attempt:int -> kind option
+(** Consulted by [Pool] before each task runs: [true] if the armed plan
+    crashes [key]. *)
+val crash_for : string -> bool
 
 (** Consulted by the remote worker before each task of a chunk: [true]
     if the armed plan says the worker should SIGKILL itself. [attempt]

@@ -30,12 +30,12 @@ module Histogram = Chex86_stats.Histogram
    stack. *)
 let () = Printexc.record_backtrace true
 
-(* Monotonic clock, in seconds from an arbitrary epoch.  Deadlines and
-   elapsed-time measurements must not use [Unix.gettimeofday]: a
-   wall-clock step (NTP slew, suspend/resume) would fire spurious
-   [Task_timed_out] or let a wedged task run forever.  The bechamel stub
-   is a C binding to clock_gettime(CLOCK_MONOTONIC) (OCaml 5.1's Unix
-   has no clock_gettime of its own). *)
+(* Monotonic clock, in seconds from an arbitrary epoch.  Elapsed-time
+   measurements and the remote layer's respawn schedule must not use
+   [Unix.gettimeofday]: a wall-clock step (NTP slew, suspend/resume)
+   would skew them.  The bechamel stub is a C binding to
+   clock_gettime(CLOCK_MONOTONIC) (OCaml 5.1's Unix has no
+   clock_gettime of its own). *)
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
@@ -62,24 +62,8 @@ let resolve_batch ?batch_size:b ~jobs n =
   | Some b -> max 1 b
   | None -> auto_batch_size ~jobs n
 
-(* Process-wide supervision defaults, set once from the CLI
-   (--retries / --task-timeout / --strict); [sweep]'s arguments override
-   them per call. *)
-let current_retries = Atomic.make 0
-let set_retries n = Atomic.set current_retries (max 0 n)
-let retries () = Atomic.get current_retries
-let current_task_timeout : float option Atomic.t = Atomic.make None
-
-(* [Some t] with t <= 0 (or NaN) means every task's deadline has already
-   expired when it starts — the whole sweep times out vacuously.  That
-   is never what a caller wants; refuse it loudly. *)
-let set_task_timeout t =
-  (match t with
-  | Some s when not (s > 0.) ->
-    invalid_arg (Printf.sprintf "Pool.set_task_timeout: timeout must be > 0 (got %g)" s)
-  | _ -> ());
-  Atomic.set current_task_timeout t
-let task_timeout () = Atomic.get current_task_timeout
+(* Process-wide fault policy, set once from the CLI (--strict /
+   --keep-going). *)
 let current_strict = Atomic.make false
 let set_strict b = Atomic.set current_strict b
 let strict () = Atomic.get current_strict
@@ -248,91 +232,49 @@ let chunk_ranges ~batch n =
 (* --- supervised tasks: contain the fault, report it, keep going ----------- *)
 
 (* The robustness analogue of CHEx86's fail-safe enforcement: a crashing
-   or wedged task must not destroy a multi-hour sweep.  Each task runs
-   under a supervisor that classifies the attempt as Ok / Crashed /
-   Timed_out, retries within a bounded budget (re-seeding
-   deterministically per attempt, so retried runs stay reproducible),
-   and folds a sweep-level fault report into the merged stats instead of
-   re-raising.
+   task must not destroy a multi-hour sweep.  Each task runs under a
+   supervisor that classifies it as Ok / Crashed and folds a sweep-level
+   fault report into the merged stats instead of re-raising.
 
-   Wall budgets are cooperative: domains cannot be killed, so the
-   supervisor publishes a per-domain deadline and [check_deadline]
-   raises once it passes.  The supervisor itself checks on attempt entry
-   and exit; long-running task bodies (the Runner, the security sweep)
-   call [check_deadline] at their own safe points.  Instruction budgets
-   ride on the existing [max_insns] simulation hook, whose exhaustion is
-   already a reported outcome, not an exception. *)
-
-exception Task_timed_out
-
-let deadline_key : float option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_deadline d = Domain.DLS.get deadline_key := d
-
-(* Process-wide tick hook, fired on every [check_deadline].  The remote
-   worker uses it as a liveness beacon: any task body that reaches its
-   cooperative safe points also feeds the supervisor's heartbeat, so
-   only tasks that never reach [check_deadline] at all look wedged from
-   outside.  The hook must be cheap and rate-limit itself; exceptions
-   are swallowed so a broken hook cannot fault the task. *)
-let tick_hook : (unit -> unit) Atomic.t = Atomic.make (fun () -> ())
-let set_tick_hook = function
-  | Some f -> Atomic.set tick_hook f
-  | None -> Atomic.set tick_hook (fun () -> ())
-
-let check_deadline () =
-  (try (Atomic.get tick_hook) () with _ -> ());
-  match !(Domain.DLS.get deadline_key) with
-  | Some t when now () > t -> raise Task_timed_out
-  | _ -> ()
-
-(* Attempt [a] of task [key] computes under the seed of [retry_key key a]:
-   attempt 0 is the plain key (bit-identical to an unsupervised run), and
-   each retry gets its own stable stream. *)
-let retry_key key attempt =
-  if attempt = 0 then key else Printf.sprintf "%s:retry%d" key attempt
+   A task runs once.  The simulator is deterministic and no task body
+   draws from anything but its key, so running a faulted task again
+   would recompute the same fault.  Runaway guests are bounded by the
+   simulation's [max_insns] budget, whose exhaustion is a reported
+   outcome, not an exception; a task that hangs its process for good is
+   contained only by the remote layer's heartbeat. *)
 
 type fault =
   | Crashed of { exn : string; backtrace : string }
-  | Timed_out of { budget : float }
   | Worker_lost of { reason : string }
 
-type task_fault = { index : int; key : string; attempts : int; fault : fault }
+type task_fault = { index : int; key : string; fault : fault }
 
 type fault_report = {
   tasks : int;
   chunks : int;
   ok : int;
-  retried_ok : int;
   crashed : int;
-  timed_out : int;
   worker_lost : int;
-  retries_used : int;
   worker_losses : int;
   task_faults : task_fault list;
 }
 
 let fault_to_string = function
   | Crashed { exn; _ } -> "crashed: " ^ exn
-  | Timed_out { budget } -> Printf.sprintf "timed out (wall budget %.3fs)" budget
   | Worker_lost { reason } -> "worker lost: " ^ reason
 
 let render_fault_report ?(max_backtraces = 3) r =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf
-       "sweep fault report: %d task(s), %d ok (%d recovered by retry), %d crashed, %d timed out, %d worker-lost, %d retry attempt(s)"
-       r.tasks r.ok r.retried_ok r.crashed r.timed_out r.worker_lost
-       r.retries_used);
+    (Printf.sprintf "sweep fault report: %d task(s), %d ok, %d crashed, %d worker-lost"
+       r.tasks r.ok r.crashed r.worker_lost);
   if r.worker_losses > 0 then
     Buffer.add_string b
       (Printf.sprintf "; %d worker loss event(s)" r.worker_losses);
   List.iteri
     (fun i tf ->
       Buffer.add_string b
-        (Printf.sprintf "\n  task %d (%s): %s after %d attempt(s)" tf.index tf.key
-           (fault_to_string tf.fault) tf.attempts);
+        (Printf.sprintf "\n  task %d (%s): %s" tf.index tf.key (fault_to_string tf.fault));
       match tf.fault with
       | Crashed { backtrace; _ } when i < max_backtraces && backtrace <> "" ->
         String.split_on_char '\n' (String.trim backtrace)
@@ -342,119 +284,50 @@ let render_fault_report ?(max_backtraces = 3) r =
     r.task_faults;
   Buffer.contents b
 
-(* One supervised task: bounded retries, each attempt fenced by the
-   injection hook and the cooperative deadline.  Never raises; the
-   caller gets the classification plus the index of the last attempt. *)
-let attempt_task ?(span_parent = 0) ~retries ~timeout ~key compute =
-  let rec go attempt =
-    let tid =
-      if Trace.on () then
-        Trace.span_begin ~parent:span_parent ~stage:"task"
-          [ ("key", key); ("attempt", string_of_int attempt) ]
-      else 0
-    in
-    let outcome =
-      try
-        set_deadline (Option.map (fun b -> now () +. b) timeout);
-        (match Faultinject.fault_for ~key ~attempt with
-        | Some Faultinject.Crash -> raise (Faultinject.Injected_crash key)
-        | Some (Faultinject.Slow s) ->
-          (* Sleep in slices with the deadline checked between them: a
-             one-shot [Unix.sleepf s] would ignore the cooperative
-             budget and stall the task for the full injected delay even
-             when --task-timeout is much shorter. *)
-          let until = now () +. s in
-          let rec nap () =
-            check_deadline ();
-            let left = until -. now () in
-            if left > 0. then begin
-              Unix.sleepf (Float.min 0.01 left);
-              nap ()
-            end
-          in
-          nap ()
-        | Some _ | None -> ());
-        check_deadline ();
-        let v = compute ~attempt ~attempt_key:(retry_key key attempt) in
-        check_deadline ();
-        set_deadline None;
-        Ok v
-      with
-      | Task_timed_out ->
-        set_deadline None;
-        Error (Timed_out { budget = Option.value ~default:0. timeout })
-      | e ->
-        let backtrace = Printexc.get_backtrace () in
-        set_deadline None;
-        Error (Crashed { exn = Printexc.to_string e; backtrace })
-    in
-    Trace.span_end tid;
-    match outcome with
-    | Ok _ -> (outcome, attempt)
-    | Error _ when attempt < retries ->
-      if Trace.on () then
-        Trace.instant ~parent:span_parent ~stage:"retry"
-          [ ("key", key); ("attempt", string_of_int (attempt + 1)) ];
-      go (attempt + 1)
-    | Error _ -> (outcome, attempt)
+(* One task run in this process: the injection hook, then the body
+   under a fresh private context, so a crashed task's partial stats are
+   discarded wholesale.  Never raises.  The in-process chunk body, the
+   remote worker and the remote layer's in-process fallback all run
+   tasks through this, which is what keeps their stats bit-identical. *)
+let run_task ?(span_parent = 0) ~key f =
+  let tid =
+    if Trace.on () then Trace.span_begin ~parent:span_parent ~stage:"task" [ ("key", key) ]
+    else 0
   in
-  go 0
-
-(* One task run in this process: [attempt_task]'s fence around a fresh
-   private context per attempt, so a faulted attempt's partial stats are
-   discarded wholesale.  The in-process chunk body, the remote worker
-   and the remote layer's in-process fallback all run tasks through
-   this, which is what keeps their stats bit-identical. *)
-let run_task ?span_parent ~retries ~timeout ~key f =
-  attempt_task ?span_parent ~retries ~timeout ~key (fun ~attempt:_ ~attempt_key ->
-      let ctx, snapshots = make_ctx attempt_key in
+  let outcome =
+    try
+      if Faultinject.crash_for key then raise (Faultinject.Injected_crash key);
+      let ctx, snapshots = make_ctx key in
       let v = f ctx in
-      (v, snapshots ()))
+      Ok (v, snapshots ())
+    with e ->
+      let backtrace = Printexc.get_backtrace () in
+      Error (Crashed { exn = Printexc.to_string e; backtrace })
+  in
+  Trace.span_end tid;
+  outcome
 
 let build_report ~worker_losses ~chunks ~key tasks raw =
-  let tasks_n = Array.length tasks in
-  let ok = ref 0
-  and retried_ok = ref 0
-  and crashed = ref 0
-  and timed_out = ref 0
-  and worker_lost = ref 0
-  and retries_used = ref 0
-  and faults = ref [] in
+  let crashed = ref 0 and worker_lost = ref 0 and faults = ref [] in
   Array.iteri
-    (fun i (outcome, attempts) ->
-      retries_used := !retries_used + attempts;
+    (fun i outcome ->
       match outcome with
-      | Ok _ ->
-        incr ok;
-        if attempts > 0 then incr retried_ok
+      | Ok _ -> ()
       | Error fault ->
-        (match fault with
-        | Crashed _ -> incr crashed
-        | Timed_out _ -> incr timed_out
-        | Worker_lost _ -> incr worker_lost);
-        faults :=
-          { index = i; key = key tasks.(i); attempts = attempts + 1; fault }
-          :: !faults)
+        (match fault with Crashed _ -> incr crashed | Worker_lost _ -> incr worker_lost);
+        faults := { index = i; key = key tasks.(i); fault } :: !faults)
     raw;
-  Atomic.fetch_and_add fault_count (!crashed + !timed_out + !worker_lost)
-  |> ignore;
+  Atomic.fetch_and_add fault_count (!crashed + !worker_lost) |> ignore;
+  let tasks = Array.length tasks in
   {
-    tasks = tasks_n;
+    tasks;
     chunks;
-    ok = !ok;
-    retried_ok = !retried_ok;
+    ok = tasks - !crashed - !worker_lost;
     crashed = !crashed;
-    timed_out = !timed_out;
     worker_lost = !worker_lost;
-    retries_used = !retries_used;
     worker_losses;
     task_faults = List.rev !faults;
   }
-
-let supervise_params ?retries:r ?task_timeout:t () =
-  let retries = match r with Some n -> max 0 n | None -> retries () in
-  let timeout = match t with Some _ -> t | None -> task_timeout () in
-  (retries, timeout)
 
 (* Fault counters fold into the merged stats so a partial sweep carries
    its own health record; they are derived from the per-task
@@ -463,17 +336,14 @@ let supervise_params ?retries:r ?task_timeout:t () =
 let fault_counters report group =
   Counter.incr ~by:report.tasks group "pool.tasks";
   Counter.incr ~by:report.ok group "pool.ok";
-  Counter.incr ~by:report.retried_ok group "pool.retried_ok";
   Counter.incr ~by:report.crashed group "pool.crashed";
-  Counter.incr ~by:report.timed_out group "pool.timed_out";
-  Counter.incr ~by:report.worker_lost group "pool.worker_lost";
-  Counter.incr ~by:report.retries_used group "pool.retries_used"
+  Counter.incr ~by:report.worker_lost group "pool.worker_lost"
 
 (* --- the chunk loop ------------------------------------------------------- *)
 
 (* One chunk = one pool dispatch, but supervision stays per *task*: the
-   body returns one (outcome, attempt index) per task of its chunk, and
-   a crash, timeout or worker loss mid-chunk faults exactly that task.
+   body returns one outcome per task of its chunk, and a crash or worker
+   loss mid-chunk faults exactly that task.
    Each chunk's completed tasks are pre-merged on the slot that ran it,
    so the coordinator merges per chunk, in chunk (= task) order.
 
@@ -494,9 +364,9 @@ let run_chunks ?jobs:j ?batch_size ?(transport = fun () -> (0, [])) ~key body ta
         let outcomes = body ~slot ~chunk:ci ~start ~len in
         let done_snaps =
           Array.to_list outcomes
-          |> List.filter_map (function Ok (_, snaps), _ -> Some snaps | Error _, _ -> None)
+          |> List.filter_map (function Ok (_, snaps) -> Some snaps | Error _ -> None)
         in
-        (Array.map (fun (o, a) -> (Result.map fst o, a)) outcomes, merge_raw done_snaps))
+        (Array.map (Result.map fst) outcomes, merge_raw done_snaps))
   in
   let raw = Array.init n (fun i -> (fst per_chunk.(i / batch)).(i mod batch)) in
   let worker_losses, transport_counters = transport () in
@@ -508,12 +378,11 @@ let run_chunks ?jobs:j ?batch_size ?(transport = fun () -> (0, [])) ~key body ta
   Counter.incr ~by:report.chunks stats.counters "pool.chunks";
   List.iter (fun (name, by) -> Counter.incr ~by stats.counters name) transport_counters;
   publish_metrics stats;
-  (Array.map fst raw, stats, report)
+  (raw, stats, report)
 
 (* --- the sweep ------------------------------------------------------------ *)
 
-let sweep ?jobs ?batch_size ?retries ?task_timeout ~key f tasks =
-  let retries, timeout = supervise_params ?retries ?task_timeout () in
+let sweep ?jobs ?batch_size ~key f tasks =
   run_chunks ?jobs ?batch_size ~key
     (fun ~slot:_ ~chunk ~start ~len ->
       let cid =
@@ -525,7 +394,7 @@ let sweep ?jobs ?batch_size ?retries ?task_timeout ~key f tasks =
       let outcomes =
         Array.init len (fun k ->
             let task = tasks.(start + k) in
-            run_task ~span_parent:cid ~retries ~timeout ~key:(key task) (fun ctx -> f task ctx))
+            run_task ~span_parent:cid ~key:(key task) (fun ctx -> f task ctx))
       in
       Trace.span_end cid;
       outcomes)

@@ -7,9 +7,8 @@
 
 (** Monotonic clock in seconds from an arbitrary epoch
     (clock_gettime(CLOCK_MONOTONIC)). Use this — never
-    [Unix.gettimeofday] — for deadlines and elapsed-time measurement: a
-    wall-clock step (NTP, suspend) would fire spurious timeouts or let a
-    wedged task run forever. *)
+    [Unix.gettimeofday] — for elapsed-time measurement and schedules: a
+    wall-clock step (NTP, suspend) would skew them. *)
 val now : unit -> float
 
 (** Process-wide job count used when [?jobs] is omitted; starts at
@@ -30,18 +29,6 @@ val batch_size : unit -> int option
     [\[1, 64\]]: about four chunks per worker — enough slack for dynamic
     load balancing without paying per-task dispatch on every task. *)
 val auto_batch_size : jobs:int -> int -> int
-
-(** Process-wide supervision defaults, set once from the CLI; the
-    [?retries] / [?task_timeout] arguments of {!sweep}
-    override them per sweep. Retries clamp to at least 0. *)
-val set_retries : int -> unit
-
-val retries : unit -> int
-val set_task_timeout : float option -> unit
-(** Raises [Invalid_argument] on [Some t] with [t <= 0] (or NaN): a
-    non-positive deadline times every task out before it starts. *)
-
-val task_timeout : unit -> float option
 
 (** --strict: faults flip the process exit code (and demote-to-error
     behaviours like unknown CHEX86_WORKLOADS names). Rendering is the
@@ -93,56 +80,27 @@ val merge_snapshots : task_snapshots list -> merged_stats
 
 (** {2 Supervised sweeps}
 
-    A crashing or wedged task is contained and classified instead of
-    killing the sweep. Each task gets a bounded retry budget; attempt [i] of task
-    [key] re-seeds from [retry_key key i], so retried runs are as
-    reproducible as first runs. Wall budgets are cooperative
-    ([check_deadline]); instruction budgets ride on the simulation's
-    [max_insns] hook, whose exhaustion is a reported outcome already. *)
-
-(** Raised by [check_deadline] once the current task's wall budget has
-    passed; the supervisor classifies it as [Timed_out]. *)
-exception Task_timed_out
-
-(** Cooperative deadline check: call from long-running task bodies at
-    safe points. No-op outside a supervised task or when no
-    [task_timeout] is set. Also fires the {!set_tick_hook} hook. *)
-val check_deadline : unit -> unit
-
-(** Install (or clear, with [None]) a process-wide hook fired on every
-    [check_deadline]. The remote worker uses it as a liveness beacon:
-    tasks that reach their cooperative safe points feed the supervisor's
-    heartbeat. The hook must be cheap and rate-limit itself; exceptions
-    it raises are swallowed. *)
-val set_tick_hook : (unit -> unit) option -> unit
-
-(** [retry_key key 0 = key]; [retry_key key i = key ^ ":retry" ^ i]. *)
-val retry_key : string -> int -> string
+    A crashing task is contained and classified instead of killing the
+    sweep. Each task runs once: the simulator is deterministic, so a
+    second run of a faulted task would fault the same way. A runaway
+    guest is bounded by the simulation's [max_insns] budget, whose
+    exhaustion is a reported outcome, not a fault. *)
 
 type fault =
   | Crashed of { exn : string; backtrace : string }
-  | Timed_out of { budget : float }
   | Worker_lost of { reason : string }
       (** the process running the task died (or was killed by the
           supervisor's heartbeat deadline) more often than the loss
           budget allows; only the remote dispatch layer produces this *)
 
-type task_fault = {
-  index : int;
-  key : string;
-  attempts : int;  (** total attempts made, initial try included *)
-  fault : fault;
-}
+type task_fault = { index : int; key : string; fault : fault }
 
 type fault_report = {
   tasks : int;
   chunks : int;  (** dispatch rounds paid *)
   ok : int;
-  retried_ok : int;  (** tasks that succeeded only after retrying *)
   crashed : int;
-  timed_out : int;
   worker_lost : int;  (** tasks faulted as [Worker_lost] *)
-  retries_used : int;  (** total extra attempts across all tasks *)
   worker_losses : int;
       (** worker loss {e events} (deaths/kills), 0 on in-process paths;
           a lost worker that re-dispatches cleanly bumps this without
@@ -156,29 +114,16 @@ val fault_to_string : fault -> string
     with the first [max_backtraces] crash backtraces inlined. *)
 val render_fault_report : ?max_backtraces:int -> fault_report -> string
 
-(** One supervised task run in this process: bounded retries, each
-    attempt fenced by the armed {!Faultinject} plan and the cooperative
-    deadline, and given a fresh {!make_ctx} seeded from its
-    {!retry_key}. Never raises; returns the value with the attempt's
-    snapshots, or the classification, plus the index of the last
-    attempt (0-based, so [attempts_index + 1] tries were made). The
-    in-process sweep, the remote worker and the remote layer's
-    in-process fallback all run tasks through this, which keeps their
-    stats bit-identical. Emits one ["task"] trace span per attempt
-    (parented under [?span_parent], default none) and a ["retry"]
-    instant before each retry — both only when {!Trace.on}[ ()]. *)
+(** One supervised task run in this process: fenced by the armed
+    {!Faultinject} plan and given a fresh {!make_ctx} seeded from its
+    key. Never raises; returns the value with the task's snapshots, or
+    the classification. The in-process sweep, the remote worker and the
+    remote layer's in-process fallback all run tasks through this, which
+    keeps their stats bit-identical. Emits one ["task"] trace span
+    (parented under [?span_parent], default none) when
+    {!Trace.on}[ ()]. *)
 val run_task :
-  ?span_parent:int ->
-  retries:int ->
-  timeout:float option ->
-  key:string ->
-  (ctx -> 'b) ->
-  ('b * task_snapshots, fault) result * int
-
-(** Resolve the effective (retries, timeout) pair: explicit arguments
-    win, else the process-wide CLI knobs. *)
-val supervise_params :
-  ?retries:int -> ?task_timeout:float -> unit -> int * float option
+  ?span_parent:int -> key:string -> (ctx -> 'b) -> ('b * task_snapshots, fault) result
 
 (** {2 The chunk loop} *)
 
@@ -205,7 +150,7 @@ val run_chunks :
   ?transport:(unit -> int * (string * int) list) ->
   key:('a -> string) ->
   (slot:int -> chunk:int -> start:int -> len:int ->
-   (('b * task_snapshots, fault) result * int) array) ->
+   ('b * task_snapshots, fault) result array) ->
   'a array ->
   ('b, fault) result array * merged_stats * fault_report
 
@@ -221,27 +166,24 @@ val run_chunks :
     single chunk) runs every chunk in the calling domain, in index
     order.
 
-    A faulted attempt's partial stats are discarded wholesale, so
-    merged totals only count completed tasks. A crash or
-    timeout mid-chunk faults exactly that task: its chunk-mates keep
-    running and the report is keyed per task. Tasks faulted by the armed
-    {!Faultinject} plan and real crashes/timeouts are both reported
-    here, never re-raised.
+    A faulted task's partial stats are discarded wholesale, so merged
+    totals only count completed tasks. A crash mid-chunk faults exactly
+    that task: its chunk-mates keep running and the report is keyed per
+    task. Tasks faulted by the armed {!Faultinject} plan and real
+    crashes are both reported here, never re-raised.
 
     RNG streams are seeded from the {e task} key (never the chunk) and
     chunks are contiguous, so results and merged stats are bit-identical
     to a serial [~jobs:1 ~batch_size:1] run at any geometry, with one
-    documented exception. The merged counters carry the [pool.*] fault
-    counters ([pool.tasks] … [pool.retries_used], scheduling-independent) plus
-    [pool.chunks], the dispatch rounds paid, which varies with the batch
-    geometry (and with [--jobs] under auto-sizing); determinism
-    comparisons must exclude that one name. The merged stats are also
-    published to [--metrics]. *)
+    documented exception. The merged counters carry the
+    scheduling-independent [pool.tasks], [pool.ok], [pool.crashed] and
+    [pool.worker_lost], plus [pool.chunks], the dispatch rounds paid,
+    which varies with the batch geometry (and with [--jobs] under
+    auto-sizing); determinism comparisons must exclude that one name.
+    The merged stats are also published to [--metrics]. *)
 val sweep :
   ?jobs:int ->
   ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
   key:('a -> string) ->
   ('a -> ctx -> 'b) ->
   'a array ->

@@ -1,9 +1,9 @@
 (* Process-isolated worker dispatch.
 
-   The in-process pool contains faults cooperatively: a task that never
-   reaches [Pool.check_deadline] — stack overflow, runaway allocation, a
-   simulator bug spinning in native code — still takes the whole sweep
-   down, because domains cannot be killed.  This layer makes containment
+   The in-process pool contains exceptions only: a task that hangs or
+   kills its process — a deadlock, runaway allocation, a simulator bug
+   spinning in native code — still takes the whole sweep down, because
+   domains cannot be killed.  This layer makes containment
    structural.  It is a chunk body for [Pool.run_chunks]: each pool slot
    forks/execs its own copy of [bin/chex86_worker.exe] over a socketpair,
    ships each chunk's task keys as length-prefixed, digest-checksummed
@@ -15,15 +15,16 @@
    Robustness model:
    - Liveness is observed, never assumed: a worker's frames (Hello,
      Beat, Result) are its heartbeat, read under a receive timeout of
-     one heartbeat.  Beats ride the pool's [check_deadline] tick hook,
-     so a task that reaches its cooperative safe points also proves the
-     worker alive; one that never does goes silent and is SIGKILLed when
-     the timeout fires.
+     one heartbeat.  Beats come from a thread of the worker's own that
+     sends one every quarter heartbeat while a chunk is in flight, so a
+     task may run as long as it needs; a worker that is stopped,
+     deadlocked or dead goes silent and is SIGKILLed when the timeout
+     fires.
    - A dead worker loses only its in-flight task's progress: streamed
      per-task results are kept, and the tasks still owed are re-sent to
      a respawned worker.  A task that keeps killing its worker is
      faulted as [Worker_lost] once the loss budget is spent —
-     distinguished in the fault report from [Crashed]/[Timed_out].
+     distinguished in the fault report from [Crashed].
    - Respawns back off exponentially with deterministic jitter under a
      bounded restart budget per slot.
    - A slot with no live worker (no executable, or its restart budget
@@ -40,8 +41,9 @@ module Histogram = Chex86_stats.Histogram
 module Rng = Chex86_stats.Rng
 
 (* v2: [request] gained the [trace] flag and Chunk_done's payload grew a
-   third field carrying the worker's collected trace spans. *)
-let protocol_version = 2
+   third field carrying the worker's collected trace spans.  v3: no
+   retry or timeout budgets in [request], no attempt count in a result. *)
+let protocol_version = 3
 
 (* --- process-wide knobs (CLI-set, argument-overridable) ------------------- *)
 
@@ -54,16 +56,15 @@ let enabled () = spec () <> Off
 
 let current_heartbeat = Atomic.make 30.0
 
-(* A non-positive (or NaN) heartbeat would make the liveness deadline
-   fire on every supervision tick — every busy worker is "wedged" the
-   instant it is dispatched to.  Clamping silently (the old behaviour)
-   hid that misconfiguration; refuse it loudly instead.  Small positive
-   values are still floored at 50ms so a just-spawned worker has a
-   chance to beat at all. *)
+(* A non-positive (or NaN) heartbeat would declare every busy worker
+   dead the instant it is dispatched to, so it is refused loudly.  Small
+   values are floored at 200 ms: a worker's beater may wait one 50 ms
+   runtime tick for the master lock, and a 50 ms heartbeat killed
+   healthy workers in the middle of a long task. *)
 let check_heartbeat ~who s =
   if not (s > 0.) then
     invalid_arg (Printf.sprintf "%s: heartbeat must be > 0 (got %g)" who s);
-  Float.max 0.05 s
+  Float.max 0.2 s
 
 let set_heartbeat s = Atomic.set current_heartbeat (check_heartbeat ~who:"Remote.set_heartbeat" s)
 let heartbeat () = Atomic.get current_heartbeat
@@ -96,25 +97,27 @@ let register_kind name fn =
 
 let find_kind name = Mutex.protect kinds_lock (fun () -> Hashtbl.find_opt kinds name)
 
-(* Built-in self-test kind: draws from the task-keyed RNG into a counter
-   and histogram, so tests can assert remote == serial bit-identity
-   without simulating anything.  Keys prefixed "wedge" spin forever
-   without ever reaching [check_deadline] — the uncooperative-task model
-   the heartbeat deadline exists for. *)
+(* Built-in self-test kind: draws [arg] rounds from the task-keyed RNG
+   into a counter and histogram, so tests can assert remote == serial
+   bit-identity without simulating anything.  A key prefixed "wedge"
+   stops its own process first (SIGSTOP): the unresponsive worker the
+   heartbeat exists for.  A key prefixed "long" first spins for [arg]
+   seconds without allocating: a healthy task that outlives many
+   heartbeats. *)
 let selftest_kind = "selftest"
 
 let () =
   register_kind selftest_kind (fun ~key ~arg ctx ->
-      if String.length key >= 5 && String.sub key 0 5 = "wedge" then begin
-        let x = ref 1 in
-        while Sys.opaque_identity !x <> 0 do
-          x := Sys.opaque_identity ((!x + 1) lor 1)
+      if String.starts_with ~prefix:"wedge" key then Unix.kill (Unix.getpid ()) Sys.sigstop;
+      if String.starts_with ~prefix:"long" key then begin
+        let until = Pool.now () +. float_of_string arg in
+        while Pool.now () < until do
+          ()
         done
       end;
       let rounds = Option.value ~default:8 (int_of_string_opt arg) in
       let sum = ref 0 in
       for _ = 1 to rounds do
-        Pool.check_deadline ();
         let d = Rng.int ctx.Pool.rng 1000 in
         sum := !sum + d;
         Counter.incr ~by:d ctx.Pool.counters "selftest.sum";
@@ -232,8 +235,6 @@ type request = {
   indices : int array;
   keys : string array;
   args : string array;
-  retries : int;
-  task_timeout : float option;
   store_dir : string option;
   beat_every : float;
   plan : (string * Faultinject.directive) list;
@@ -244,7 +245,6 @@ type request = {
 
 type task_result = {
   t_index : int;
-  t_attempts : int;
   t_outcome : (string * Pool.task_snapshots, Pool.fault) result;
 }
 
@@ -261,7 +261,44 @@ module Worker = struct
       applied_store := Some dir
     end
 
-  let run_chunk output (req : request) =
+  (* Every frame this process writes goes out under [lock], so a Beat
+     never lands inside a Result.  [every] is the beat interval while a
+     chunk is in flight and 0 between chunks; it changes under [lock]
+     too, so no Beat follows a Chunk_done. *)
+  type link = {
+    output : Unix.file_descr;
+    lock : Mutex.t;
+    wake : Condition.t;
+    mutable every : float;
+  }
+
+  let send link ftype payload =
+    Mutex.protect link.lock (fun () -> send_frame link.output ftype payload)
+
+  (* The beater: a systhread, not a domain, because a sleeping second
+     domain makes every minor collection a two-domain stop-the-world.
+     The runtime hands it the master lock within a 50 ms tick of any
+     running task, so only a stopped, deadlocked or dead process goes
+     silent.  It holds [lock] except while it sleeps, and ends when a
+     write fails: the supervisor is gone, as the main thread's next
+     write finds out too. *)
+  let beater link =
+    Mutex.lock link.lock;
+    let rec loop () =
+      if link.every <= 0. then (Condition.wait link.wake link.lock; loop ())
+      else begin
+        let every = link.every in
+        Mutex.unlock link.lock;
+        Thread.delay every;
+        Mutex.lock link.lock;
+        match if link.every > 0. then send_frame link.output Beat "" with
+        | () -> loop ()
+        | exception (Unix.Unix_error _ | Frame_error _) -> Mutex.unlock link.lock
+      end
+    in
+    loop ()
+
+  let run_chunk link (req : request) =
     if req.plan = [] then Faultinject.disarm ()
     else Faultinject.arm (Faultinject.of_list req.plan);
     (* Trace collection mirrors the supervisor's tracing state per
@@ -271,64 +308,54 @@ module Worker = struct
     Trace.set_collect req.trace;
     apply_store_dir req.store_dir;
     match find_kind req.req_kind with
-    | None ->
-      send_frame output Err (Printf.sprintf "unknown task kind %S" req.req_kind)
+    | None -> send link Err (Printf.sprintf "unknown task kind %S" req.req_kind)
     | Some fn ->
-      let last_beat = ref (Pool.now ()) in
-      let beat () =
-        send_frame output Beat "";
-        last_beat := Pool.now ()
+      Mutex.protect link.lock (fun () ->
+          link.every <- req.beat_every;
+          Condition.signal link.wake);
+      let cid =
+        if Trace.on () then
+          Trace.span_begin ~stage:"chunk"
+            [
+              ("chunk", string_of_int req.chunk_id);
+              ("attempt", string_of_int req.dispatch_attempt);
+              ("tasks", string_of_int (Array.length req.keys));
+            ]
+        else 0
       in
-      (* Beats ride the cooperative safe points: a task body calling
-         [check_deadline] proves the worker alive at most every
-         [beat_every] seconds; one that never calls it goes silent and
-         the supervisor's hard deadline fires. *)
-      Pool.set_tick_hook
-        (Some (fun () -> if Pool.now () -. !last_beat > req.beat_every then beat ()));
-      Fun.protect
-        ~finally:(fun () -> Pool.set_tick_hook None)
-        (fun () ->
-          let cid =
-            if Trace.on () then
-              Trace.span_begin ~stage:"chunk"
-                [
-                  ("chunk", string_of_int req.chunk_id);
-                  ("attempt", string_of_int req.dispatch_attempt);
-                  ("tasks", string_of_int (Array.length req.keys));
-                ]
-            else 0
+      Array.iteri
+        (fun k key ->
+          (* Injected mid-chunk worker death: SIGKILL leaves the
+             supervisor nothing but silence and a closed socket, exactly
+             like an OOM kill. *)
+          if Faultinject.worker_kill_for ~key ~attempt:req.dispatch_attempt then
+            Unix.kill (Unix.getpid ()) Sys.sigkill;
+          let outcome =
+            Pool.run_task ~span_parent:cid ~key (fun ctx -> fn ~key ~arg:req.args.(k) ctx)
           in
-          Array.iteri
-            (fun k key ->
-              (* Injected mid-chunk worker death: SIGKILL leaves the
-                 supervisor nothing but silence and a closed socket,
-                 exactly like an OOM kill. *)
-              if Faultinject.worker_kill_for ~key ~attempt:req.dispatch_attempt
-              then Unix.kill (Unix.getpid ()) Sys.sigkill;
-              beat ();
-              let outcome, attempts =
-                Pool.run_task ~span_parent:cid ~retries:req.retries
-                  ~timeout:req.task_timeout ~key (fun ctx -> fn ~key ~arg:req.args.(k) ctx)
-              in
-              let tr =
-                { t_index = req.indices.(k); t_attempts = attempts; t_outcome = outcome }
-              in
-              send_frame output Result (Marshal.to_string tr []))
-            req.keys;
-          Trace.span_end cid;
-          (* Spans drain after the chunk span closed, so the shipped
-             stream is self-contained; the Chunk_done frame itself is
-             the one event a traced worker cannot record. *)
-          let spans = Trace.drain_collected () in
-          send_frame output Chunk_done
-            (Marshal.to_string (req.chunk_id, req.dispatch_attempt, spans) []))
+          send link Result
+            (Marshal.to_string { t_index = req.indices.(k); t_outcome = outcome } []))
+        req.keys;
+      Trace.span_end cid;
+      (* Spans drain after the chunk span closed, so the shipped stream
+         is self-contained; the Chunk_done frame itself is the one event
+         a traced worker cannot record. *)
+      let payload =
+        Marshal.to_string (req.chunk_id, req.dispatch_attempt, Trace.drain_collected ()) []
+      in
+      Mutex.protect link.lock (fun () ->
+          link.every <- 0.;
+          send_frame link.output Chunk_done payload)
 
   let serve ~input ~output =
-    send_frame output Hello (string_of_int protocol_version);
+    let link = { output; lock = Mutex.create (); wake = Condition.create (); every = 0. } in
+    (* Not joined: the process exits when [serve] returns. *)
+    ignore (Thread.create beater link);
+    send link Hello (string_of_int protocol_version);
     let rec loop () =
       match read_frame input with
       | Run, payload ->
-        run_chunk output (Marshal.from_string payload 0 : request);
+        run_chunk link (Marshal.from_string payload 0 : request);
         loop ()
       | Shutdown, _ -> ()
       | (Hello | Beat | Result | Chunk_done | Err), _ -> loop ()
@@ -336,7 +363,7 @@ module Worker = struct
       | exception Frame_error msg ->
         (* The length field was still trusted, so the stream is back in
            sync after skipping the payload; report and keep serving. *)
-        send_frame output Err msg;
+        send link Err msg;
         loop ()
     in
     loop ()
@@ -442,9 +469,8 @@ let close_worker ~kill slot =
 
 type reply = Done | Rejected of string
 
-let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_override
-    ?(task_loss_budget = 1) ~kind ~key ~arg tasks =
-  let retries, timeout = Pool.supervise_params ?retries ?task_timeout () in
+let sweep ?batch_size ?spec:spec_override ?heartbeat:hb_override ?(task_loss_budget = 1)
+    ~kind ~key ~arg tasks =
   let hb =
     match hb_override with
     | Some h -> check_heartbeat ~who:"Remote.sweep ?heartbeat" h
@@ -520,7 +546,7 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
     let losses = Array.make len 0 in
     let owed () = List.filter (fun k -> out.(k) = None) (List.init len Fun.id) in
     let fault reason ks =
-      List.iter (fun k -> out.(k) <- Some (Error (Pool.Worker_lost { reason }), 0)) ks
+      List.iter (fun k -> out.(k) <- Some (Error (Pool.Worker_lost { reason }))) ks
     in
     (* The worker runs tasks in order, so the first task still owed is
        the one that was in flight; it is charged the loss. *)
@@ -544,8 +570,6 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
           indices = idxs;
           keys = Array.map (fun i -> keys.(i)) idxs;
           args = Array.map (fun i -> args.(i)) idxs;
-          retries;
-          task_timeout = timeout;
           store_dir = !store_dir_provider ();
           beat_every = hb /. 4.;
           trace = Trace.on ();
@@ -587,8 +611,7 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
           (match (Marshal.from_string payload 0 : task_result) with
           | tr ->
             let k = tr.t_index - start in
-            if k >= 0 && k < len && out.(k) = None then
-              out.(k) <- Some (tr.t_outcome, tr.t_attempts)
+            if k >= 0 && k < len && out.(k) = None then out.(k) <- Some tr.t_outcome
           | exception _ -> raise (Lost "unparseable Result frame"));
           recv ()
         | Chunk_done ->
@@ -638,7 +661,7 @@ let sweep ?batch_size ?retries ?task_timeout ?spec:spec_override ?heartbeat:hb_o
               let i = start + k in
               out.(k) <-
                 Some
-                  (Pool.run_task ~retries ~timeout ~key:keys.(i) (fun ctx ->
+                  (Pool.run_task ~key:keys.(i) (fun ctx ->
                        kind_fn ~key:keys.(i) ~arg:args.(i) ctx)))
             ks
         | Some (fd, _) -> (

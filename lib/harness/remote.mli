@@ -1,8 +1,8 @@
 (** Process-isolated worker dispatch for supervised sweeps.
 
-    The in-process pool can only contain faults cooperatively — a task
-    that never reaches [Pool.check_deadline] wedges its domain for good.
-    This layer makes containment structural. {!sweep} runs on
+    The in-process pool contains exceptions only — a task that hangs or
+    kills its process takes the sweep with it. This layer makes
+    containment structural. {!sweep} runs on
     {!Pool.run_chunks} with a chunk body that ships the chunk's task
     keys, as length-prefixed, digest-checksummed frames, to the slot's
     own spawned [bin/chex86_worker.exe] and returns the streamed
@@ -11,7 +11,10 @@
     (workers, batch) geometry.
 
     Robustness: frames are read under a receive timeout of one
-    heartbeat, with SIGKILL escalation; exponential-backoff respawn
+    heartbeat, with SIGKILL escalation. Each worker beats from a thread
+    of its own while a chunk is in flight, so the heartbeat detects a
+    worker that stopped responding (stopped, deadlocked or killed), not
+    a long task. Exponential-backoff respawn
     with deterministic jitter under a bounded restart budget per slot;
     re-sending only the tasks a dead worker still owed (streamed results
     are kept); a task that keeps killing its worker is faulted as
@@ -44,10 +47,13 @@ val enabled : unit -> bool
 val set_heartbeat : float -> unit
 (** Hard liveness deadline in seconds (default 30): a busy worker that
     sends nothing for this long is SIGKILLed and its unfinished tasks
-    re-sent. Workers beat at a quarter of this interval. Raises
+    re-sent. A worker's beater thread sends a beat every quarter of this
+    interval while a chunk is in flight, however long the running task
+    takes. Raises
     [Invalid_argument] on a non-positive (or NaN) value — such a
     deadline would declare every worker wedged on dispatch; small
-    positive values are floored at 50ms. [sweep]'s [?heartbeat]
+    positive values are floored at 200 ms, four of the runtime's 50 ms
+    thread ticks. [sweep]'s [?heartbeat]
     override validates identically. *)
 
 val heartbeat : unit -> float
@@ -80,10 +86,11 @@ val find_kind : string -> kind_fn option
     the bit-identity baseline for remote runs. *)
 
 val selftest_kind : string
-(** Built-in kind for tests: draws from the task-keyed RNG into
-    [selftest.*] stats; keys prefixed ["wedge"] spin forever without
-    reaching [Pool.check_deadline] — the uncooperative task the
-    heartbeat deadline exists for. *)
+(** Built-in kind for tests: draws [arg] rounds from the task-keyed RNG
+    into [selftest.*] stats. A key prefixed ["wedge"] first stops its
+    own process with SIGSTOP — the unresponsive worker the heartbeat
+    exists for; a key prefixed ["long"] first spins for [arg] seconds
+    without allocating — a healthy task longer than a heartbeat. *)
 
 (** {2 Worker-side store wiring}
 
@@ -98,8 +105,6 @@ val store_dir_applier : (string option -> unit) ref
 
 val sweep :
   ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
   ?spec:spec ->
   ?heartbeat:float ->
   ?task_loss_budget:int ->

@@ -377,10 +377,16 @@ module Store = struct
   let enabled () = Option.is_some (Atomic.get dir_ref)
   let dir () = Atomic.get dir_ref
 
+  (* The model the stored cycles came from: the MD5 of
+     test/golden/timing.json.  Re-pinning that file changes this too
+     (test_golden checks the pair), so no older model's entry is served. *)
+  let model_fingerprint = "8a197f4663bc8e4d07a7ebc4e2b2d0a6"
+
   (* Key scheme: a human-greppable sanitized prefix of the memo key plus
-     a digest over (key, program digest) that actually disambiguates;
-     the digest's first byte is the shard. *)
-  let entry_id ~key ~digest = Digest.to_hex (Digest.string (key ^ "\x00" ^ digest))
+     a digest over (key, program digest, model) that actually
+     disambiguates; the digest's first byte is the shard. *)
+  let entry_id ~key ~digest =
+    Digest.to_hex (Digest.string (String.concat "\x00" [ key; digest; model_fingerprint ]))
 
   let entry_name ~key ~digest =
     let slug =
@@ -1005,7 +1011,6 @@ let register_remote () =
           j_config = spec.r_config; j_tag = spec.r_tag; j_timing = spec.r_timing;
           j_profile = spec.r_profile; j_scale = spec.r_scale }
       in
-      Pool.check_deadline ();
       Marshal.to_string (run_job j : run) [])
 
 (* Worker-side store wiring for Remote (which cannot depend on this
@@ -1041,13 +1046,13 @@ let () =
               ] );
         ]
 
-(* The prefetch is supervised: a crashing or wedged job is recorded in
-   the fault table and the rest of the sweep completes (a mid-chunk
-   fault only claims the offending job).  With workers configured the
+(* The prefetch is supervised: a crashing job is recorded in the fault
+   table and the rest of the sweep completes (a mid-chunk fault only
+   claims the offending job).  With workers configured the
    jobs run in worker processes instead ([?jobs] is ignored); a lost
    worker surfaces as a [Pool.Worker_lost] fault on the job that was in
    flight. *)
-let prefetch_supervised ?jobs ?batch_size ?retries ?task_timeout job_list =
+let prefetch_supervised ?jobs ?batch_size job_list =
   let todo = dedup_jobs job_list in
   Trace.with_span ~stage:"sweep"
     [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
@@ -1056,18 +1061,14 @@ let prefetch_supervised ?jobs ?batch_size ?retries ?task_timeout job_list =
     if Remote.enabled () && Array.length todo > 0 then begin
       register_remote ();
       let payloads, stats, report =
-        Remote.sweep ?batch_size ?retries ?task_timeout ~kind:remote_kind ~key:job_key
+        Remote.sweep ?batch_size ~kind:remote_kind ~key:job_key
           ~arg:remote_job_arg todo
       in
       let decode p = (Marshal.from_string p 0 : run) in
       (Array.map (Result.map decode) payloads, stats, report)
     end
     else
-      Pool.sweep ?jobs ?batch_size ?retries ?task_timeout ~key:job_key
-        (fun j _ctx ->
-          Pool.check_deadline ();
-          run_job j)
-        todo
+      Pool.sweep ?jobs ?batch_size ~key:job_key (fun j _ctx -> run_job j) todo
   in
   Array.iteri
     (fun i result ->

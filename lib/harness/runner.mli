@@ -105,6 +105,11 @@ module Store : sig
   val stats : unit -> stats
   val reset_stats : unit -> unit
 
+  (** The MD5 of [test/golden/timing.json], folded into every entry id:
+      re-pinning the golden changes it and retires the older model's
+      entries. *)
+  val model_fingerprint : string
+
   (** Direct entry IO, exposed for the executables and tests. [key] is
       the memo key, [digest] the program digest. *)
   val load : key:string -> digest:string -> run option
@@ -176,7 +181,7 @@ val run_workload :
 
 (** [run_workload] that reports instead of simulating when a
     supervised prefetch already classified the job as faulted, so
-    figure assembly can render an explicit FAULTED / TIMEOUT cell. *)
+    figure assembly can render an explicit FAULTED / LOST cell. *)
 val run_workload_result :
   ?tag:string ->
   ?timing:bool ->
@@ -213,19 +218,14 @@ val register_remote : unit -> unit
     process-wide knob / auto-sizing) and publish the results into the
     memo in job order, so the serial figure-assembly code then hits the
     memo. Results are bit-identical to running the same jobs serially,
-    at any batch size. A crashing or wedged job is recorded in the fault
-    table (see {!run_workload_result} / {!faulted_jobs}) and the rest of
-    the sweep — including the faulted job's chunk-mates — completes.
-    Jobs already faulted are not retried by later prefetches sharing
-    the key. When workers are configured ({!Remote.enabled}) the jobs
-    run in worker processes instead ([?jobs] is ignored); a lost worker
+    at any batch size. A crashing job is recorded in the fault table
+    (see {!run_workload_result} / {!faulted_jobs}) and the rest of the
+    sweep — including the faulted job's chunk-mates — completes. Jobs
+    already faulted are skipped by later prefetches sharing the key.
+    When workers are configured ({!Remote.enabled}) the jobs run in
+    worker processes instead ([?jobs] is ignored); a lost worker
     surfaces as [Pool.Worker_lost] on the in-flight job. *)
-val prefetch_supervised :
-  ?jobs:int ->
-  ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  job list ->
+val prefetch_supervised : ?jobs:int -> ?batch_size:int -> job list ->
   Pool.fault_report
 
 (** Every job a supervised prefetch classified as faulted this process,

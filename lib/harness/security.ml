@@ -82,7 +82,6 @@ let register_remote () =
   Remote.register_kind remote_kind (fun ~key ~arg (ctx : Pool.ctx) ->
       let exploit = Chex86_exploits.Exploits.find key in
       let config : Runner.config = Marshal.from_string arg 0 in
-      Pool.check_deadline ();
       let r = evaluate ~config exploit in
       tally_result ctx r;
       Marshal.to_string (r.insecure, r.under_protection) [])
@@ -92,14 +91,14 @@ let register_remote () =
    instruction-count histogram into per-task stats that Pool.sweep
    merges in ascending exploit order, so the sweep is bit-identical at
    any job count and batch size (modulo the [pool.chunks] dispatch
-   counter).  A crashing or wedged evaluation is classified and reported
-   instead of killing the sweep; its stats are discarded wholesale, so
-   the [sweep.*] counters only count completed evaluations (plus the
+   counter).  A crashing evaluation is classified and reported instead
+   of killing the sweep; its stats are discarded wholesale, so the
+   [sweep.*] counters only count completed evaluations (plus the
    [pool.*] fault counters the supervisor adds).  With workers
    configured ([--workers]) the sweep runs in worker processes instead
-   of domains — same results, but a wedged evaluation can also be
-   killed at the heartbeat deadline. *)
-let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout exploits =
+   of domains — same results, but a worker that stops responding is
+   also killed at the heartbeat deadline. *)
+let sweep_stats_supervised ?config ?jobs ?batch_size exploits =
   Trace.with_span ~stage:"sweep"
     [ ("kind", "security"); ("tasks", string_of_int (List.length exploits)) ]
   @@ fun () ->
@@ -108,7 +107,7 @@ let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout expl
     let config = Option.value ~default:Runner.prediction config in
     let config_arg = Marshal.to_string config [] in
     let results, stats, report =
-      Remote.sweep ?batch_size ?retries ?task_timeout ~kind:remote_kind
+      Remote.sweep ?batch_size ~kind:remote_kind
         ~key:(fun (e : Exploit.t) -> e.Exploit.name)
         ~arg:(fun _ -> config_arg)
         (Array.of_list exploits)
@@ -132,10 +131,9 @@ let sweep_stats_supervised ?config ?jobs ?batch_size ?retries ?task_timeout expl
   end
   else
     let results, stats, report =
-      Pool.sweep ?jobs ?batch_size ?retries ?task_timeout
+      Pool.sweep ?jobs ?batch_size
         ~key:(fun (e : Exploit.t) -> e.Exploit.name)
         (fun exploit (ctx : Pool.ctx) ->
-          Pool.check_deadline ();
           let r = evaluate ?config exploit in
           tally_result ctx r;
           r)
@@ -223,7 +221,7 @@ let add_fault cell =
    remote workers when configured — and rows are folded serially in
    deterministic (family, allocator, config) order: the matrix is
    bit-identical at any jobs / batch-size / workers geometry. *)
-let campaign_matrix ?jobs ?batch_size ?retries ?task_timeout ~configs campaigns =
+let campaign_matrix ?jobs ?batch_size ~configs campaigns =
   let exploits = List.map Campaign.to_exploit campaigns in
   let cells = Hashtbl.create 64 in
   let bump key f =
@@ -232,7 +230,7 @@ let campaign_matrix ?jobs ?batch_size ?retries ?task_timeout ~configs campaigns 
   List.iter
     (fun config ->
       let results, _stats, _report =
-        sweep_stats_supervised ~config ?jobs ?batch_size ?retries ?task_timeout exploits
+        sweep_stats_supervised ~config ?jobs ?batch_size exploits
       in
       List.iter2
         (fun campaign (exploit, outcome) ->

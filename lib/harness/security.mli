@@ -22,7 +22,7 @@ val register_remote : unit -> unit
     count and batch size. The merged stats carry outcome counters under
     [sweep.*] and a [sweep.protected_macro_insns] histogram, plus the
     [pool.*] counters ([pool.chunks] is the one that varies with the
-    batch geometry). A crashing or wedged evaluation yields an
+    batch geometry). A crashing evaluation yields an
     [Error fault] slot instead of killing the sweep (its chunk-mates
     still complete), and the [sweep.*] counters only count completed
     evaluations. When workers are configured
@@ -33,8 +33,6 @@ val sweep_stats_supervised :
   ?config:Runner.config ->
   ?jobs:int ->
   ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
   Chex86_exploits.Exploit.t list ->
   (Chex86_exploits.Exploit.t * (result, Pool.fault) Stdlib.result) list
   * Pool.merged_stats
@@ -83,8 +81,6 @@ type matrix_cell = {
 val campaign_matrix :
   ?jobs:int ->
   ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
   configs:Runner.config list ->
   Chex86_exploits.Campaign.t list ->
   ((string * string * string) * matrix_cell) list

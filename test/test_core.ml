@@ -82,6 +82,89 @@ let test_cap_cache () =
   Cap_cache.invalidate c 5;
   Alcotest.(check bool) "invalidated pid misses" false (Cap_cache.access c 5)
 
+(* Lockstep reference for the capability cache, written from its
+   documented policy: a plain array scan with no PID index, LRU by
+   last-touch stamp, the lowest index on ties, and an invalidated slot
+   keeping its stamp (so it is not preferred as the next victim).  The
+   packed cache's [Intmap] index is what this checks. *)
+module Ref_cap_cache = struct
+  type t = {
+    pids : int array;
+    stamps : int array;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create entries =
+    { pids = Array.make entries 0; stamps = Array.make entries 0; clock = 0; hits = 0; misses = 0 }
+
+  let access t pid =
+    t.clock <- t.clock + 1;
+    let n = Array.length t.pids in
+    let rec find i = if i = n then None else if t.pids.(i) = pid then Some i else find (i + 1) in
+    match find 0 with
+    | Some i ->
+      t.stamps.(i) <- t.clock;
+      t.hits <- t.hits + 1;
+      true
+    | None ->
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      Array.iteri (fun i s -> if s < t.stamps.(!victim) then victim := i) t.stamps;
+      t.pids.(!victim) <- pid;
+      t.stamps.(!victim) <- t.clock;
+      false
+
+  let invalidate t pid = Array.iteri (fun i p -> if p = pid then t.pids.(i) <- 0) t.pids
+end
+
+type cap_op = Cap_access of int | Cap_invalidate of int
+
+let cap_op_name = function
+  | Cap_access p -> Printf.sprintf "access %d" p
+  | Cap_invalidate p -> Printf.sprintf "invalidate %d" p
+
+(* PIDs come from twice the cache's capacity, so streams mix hits,
+   capacity evictions and re-access after an invalidation. *)
+let gen_cap_case =
+  let open QCheck.Gen in
+  let* entries = oneofl [ 4; 8; 64 ] in
+  let pid = int_range 1 (2 * entries) in
+  let op =
+    frequency [ (6, map (fun p -> Cap_access p) pid); (1, map (fun p -> Cap_invalidate p) pid) ]
+  in
+  let* ops = list_size (int_range 1 (12 * entries)) op in
+  return (entries, ops)
+
+let qcheck_cap_cache_lockstep =
+  QCheck.Test.make ~name:"capability cache = reference model" ~count:300
+    (QCheck.make
+       ~print:(fun (entries, ops) ->
+         Printf.sprintf "%d entries: %s" entries (String.concat "; " (List.map cap_op_name ops)))
+       gen_cap_case)
+    (fun (entries, ops) ->
+      let g = Chex86_stats.Counter.create_group () in
+      let c = Cap_cache.create ~entries g and r = Ref_cap_cache.create entries in
+      List.iteri
+        (fun step op ->
+          let got, want =
+            match op with
+            | Cap_access p -> (Cap_cache.access c p, Ref_cap_cache.access r p)
+            | Cap_invalidate p ->
+              Cap_cache.invalidate c p;
+              Ref_cap_cache.invalidate r p;
+              (false, false)
+          in
+          let hit = Chex86_stats.Counter.get g "capcache.hit"
+          and miss = Chex86_stats.Counter.get g "capcache.miss" in
+          if got <> want || hit <> r.hits || miss <> r.misses then
+            QCheck.Test.fail_reportf
+              "%d entries, step %d (%s): cache %b hit=%d miss=%d, reference %b hit=%d miss=%d"
+              entries step (cap_op_name op) got hit miss want r.hits r.misses)
+        ops;
+      true)
+
 (* ---------- Table I rules ---------- *)
 
 let action_of uop = Rules.action_for (Rules.create ()) uop
@@ -890,6 +973,7 @@ let () =
           Alcotest.test_case "NULL malloc" `Quick test_cap_table_null_malloc;
           Alcotest.test_case "find_by_address" `Quick test_cap_table_find_by_address;
           Alcotest.test_case "cap cache" `Quick test_cap_cache;
+          QCheck_alcotest.to_alcotest qcheck_cap_cache_lockstep;
         ] );
       ( "rules",
         [

@@ -12,7 +12,11 @@
 
      dune build test/test_golden.exe
      CHEX86_GOLDEN_UPDATE=test/golden/timing.json \
-       ./_build/default/test/test_golden.exe *)
+       ./_build/default/test/test_golden.exe
+
+   then set [Runner.Store.model_fingerprint] to the new file's MD5
+   ([md5sum test/golden/timing.json]); the "store" case fails until
+   the two agree. *)
 
 module Runner = Chex86_harness.Runner
 module Json = Chex86_stats.Json
@@ -124,6 +128,14 @@ let check_entry golden_by_key entry () =
       Alcotest.failf "%s diverged from golden/timing.json:\n%s" key
         (String.concat "\n" (diff_entry golden entry))
 
+(* The result store keys every entry by the model that simulated it, as
+   the MD5 of this golden file: a re-pin that leaves the constant alone
+   would let a warm store keep serving the old model's cycles. *)
+let test_store_names_the_model () =
+  Alcotest.(check string) "Runner.Store.model_fingerprint = MD5 of golden/timing.json"
+    (Digest.to_hex (Digest.file "golden/timing.json"))
+    Runner.Store.model_fingerprint
+
 let () =
   match Sys.getenv_opt "CHEX86_GOLDEN_UPDATE" with
   | Some path when path <> "" ->
@@ -138,4 +150,6 @@ let () =
           List.map
             (fun e -> Alcotest.test_case (key_of e) `Quick (check_entry golden_by_key e))
             entries );
+        ( "store",
+          [ Alcotest.test_case "entry ids name the model" `Quick test_store_names_the_model ] );
       ]

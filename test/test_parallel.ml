@@ -614,7 +614,7 @@ let test_run_chunks_basics () =
           if start + len > fail_at then failwith (string_of_int (max start fail_at));
           Array.init len (fun k ->
               let i = tasks.(start + k) in
-              Pool.run_task ~retries:0 ~timeout:None ~key:(string_of_int i) (fun _ -> 2 * i)))
+              Pool.run_task ~key:(string_of_int i) (fun _ -> 2 * i)))
         tasks
     in
     results

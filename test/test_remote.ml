@@ -6,8 +6,8 @@
    in-process pool.
 
    The baseline for every comparison is the selftest kind's body run
-   through [Pool.sweep ~jobs:1]: the exact
-   attempt/ctx path the worker uses, minus the transport. *)
+   through [Pool.sweep ~jobs:1]: the exact task/ctx path the worker
+   uses, minus the transport. *)
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
@@ -27,10 +27,9 @@ let selftest_fn =
 let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 let arg_of _ = "8"
 
-let serial_baseline ?retries ?task_timeout tasks =
-  Pool.sweep ~jobs:1 ~batch_size:1 ?retries ?task_timeout
-    ~key:Fun.id
-    (fun key ctx -> selftest_fn ~key ~arg:(arg_of key) ctx)
+let serial_baseline ?(arg = arg_of) tasks =
+  Pool.sweep ~jobs:1 ~batch_size:1 ~key:Fun.id
+    (fun key ctx -> selftest_fn ~key ~arg:(arg key) ctx)
     tasks
 
 (* [pool.chunks] and the [remote.*] counters record dispatch/transport
@@ -105,7 +104,7 @@ let prop_geometry_invariance =
 
 (* SIGKILL mid-chunk on the first dispatch: the lost worker's streamed
    results are kept, only the unfinished tasks are re-dispatched, the
-   re-run uses attempt-0 seeds — so the final stats are byte-identical
+   re-run seeds each task from its key — so the final stats are byte-identical
    to a run with no kill at all.  Exactly one loss event is reported and
    no task ends up faulted.  The loss must show as EOF at once, well
    inside the default 30 s heartbeat: a sibling worker that inherited
@@ -131,9 +130,9 @@ let test_worker_kill_recovers_bit_identical () =
     (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
     (remote_results_as_opaque rresults)
 
-(* A wedged task — spinning in native code, never reaching
-   check_deadline — cannot be contained in-process.  Here the heartbeat
-   deadline must SIGKILL the worker, and with a zero loss budget the
+(* A worker that stops responding — here it stops itself with SIGSTOP,
+   beater thread included — cannot be contained in-process.  The
+   heartbeat deadline must SIGKILL it, and with a zero loss budget the
    task is faulted as Worker_lost while the rest of the sweep completes. *)
 let test_wedged_worker_killed_at_heartbeat () =
   let tasks = [| "wedge-0"; "task-1"; "task-2" |] in
@@ -153,6 +152,24 @@ let test_wedged_worker_killed_at_heartbeat () =
   Array.iteri
     (fun i r -> if i > 0 then Alcotest.(check bool) "healthy task ok" true (Result.is_ok r))
     rresults
+
+(* A healthy task may run far longer than one heartbeat: the worker's
+   beater thread keeps beating while the task spins 2 s without ever
+   allocating.  Nothing is lost, and results and stats match the serial
+   run. *)
+let test_long_task_outlives_heartbeat () =
+  let tasks = [| "long-0"; "task-1"; "task-2" |] in
+  let arg key = if String.starts_with ~prefix:"long" key then "2" else arg_of key in
+  let sresults, sstats, _ = serial_baseline ~arg tasks in
+  let rresults, rstats, report =
+    Remote.sweep ~spec:(Remote.Spawn 1) ~batch_size:1 ~heartbeat:0.4
+      ~kind:Remote.selftest_kind ~key:Fun.id ~arg tasks
+  in
+  Alcotest.(check int) "no worker loss" 0 report.Pool.worker_losses;
+  Alcotest.(check int) "no task faulted" 0 (List.length report.Pool.task_faults);
+  check_matches_serial "long task" sstats rstats
+    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
+    (remote_results_as_opaque rresults)
 
 (* --- transport faults ------------------------------------------------------ *)
 
@@ -212,9 +229,11 @@ let test_degrades_without_worker_exe () =
 
 (* --- knob validation --------------------------------------------------------- *)
 
-(* Non-positive supervision knobs must be rejected loudly at the setter,
-   not silently wedge a sweep (a 0 heartbeat would kill every worker
-   instantly; a 0 task timeout would fault every task). *)
+(* A non-positive heartbeat must be rejected loudly at the setter, not
+   silently wedge a sweep: a 0 heartbeat would kill every worker
+   instantly.  A small positive one is floored at 200 ms: at 50 ms a
+   beater waiting one runtime tick for the master lock went silent
+   long enough to kill a healthy worker. *)
 let test_rejects_nonpositive_heartbeat () =
   let saved = Remote.heartbeat () in
   Fun.protect
@@ -226,20 +245,14 @@ let test_rejects_nonpositive_heartbeat () =
           | () -> Alcotest.fail (Printf.sprintf "heartbeat %g accepted" bad)
           | exception Invalid_argument _ -> ())
         [ 0.; -1.; Float.neg_infinity; Float.nan ];
+      Remote.set_heartbeat 0.05;
+      Alcotest.(check (float 0.)) "floored at 200 ms" 0.2 (Remote.heartbeat ());
       match
         Remote.sweep ~heartbeat:0. ~kind:Remote.selftest_kind ~key:Fun.id
           ~arg:arg_of (tasks_n 2)
       with
       | _ -> Alcotest.fail "sweep ?heartbeat:0 accepted"
       | exception Invalid_argument _ -> ())
-
-let test_rejects_nonpositive_task_timeout () =
-  List.iter
-    (fun bad ->
-      match Pool.set_task_timeout (Some bad) with
-      | () -> Alcotest.fail (Printf.sprintf "task timeout %g accepted" bad)
-      | exception Invalid_argument _ -> ())
-    [ 0.; -2.5 ]
 
 (* --- end-to-end: security sweep through workers ----------------------------- *)
 
@@ -307,6 +320,8 @@ let () =
             test_worker_kill_recovers_bit_identical;
           Alcotest.test_case "wedged worker killed at heartbeat" `Quick
             test_wedged_worker_killed_at_heartbeat;
+          Alcotest.test_case "long task outlives heartbeat" `Quick
+            test_long_task_outlives_heartbeat;
         ] );
       ( "transport",
         [
@@ -322,8 +337,6 @@ let () =
         [
           Alcotest.test_case "rejects non-positive heartbeat" `Quick
             test_rejects_nonpositive_heartbeat;
-          Alcotest.test_case "rejects non-positive task timeout" `Quick
-            test_rejects_nonpositive_task_timeout;
         ] );
       ( "security",
         [

@@ -1,6 +1,6 @@
 (* Tests for the supervised sweep engine: per-task fault containment,
-   retry/timeout budgets, the deterministic fault-injection harness, and
-   the on-disk result store's checkpoint/resume path.  Every failure
+   the deterministic fault-injection harness, and the on-disk result
+   store's checkpoint/resume path.  Every failure
    mode here is *injected* via Faultinject plans keyed on stable task
    keys, so the assertions hold at any job count. *)
 
@@ -18,14 +18,12 @@ let with_plan plan f =
    the exception was caught, not on what faulted). *)
 let fault_shape = function
   | Pool.Crashed { exn; _ } -> "crashed:" ^ exn
-  | Pool.Timed_out { budget } -> Printf.sprintf "timed_out:%g" budget
   | Pool.Worker_lost { reason } -> "worker_lost:" ^ reason
 
 let report_shape (r : Pool.fault_report) =
-  ( (r.tasks, r.ok, r.retried_ok, r.crashed, r.timed_out, r.retries_used),
-    List.map
-      (fun (f : Pool.task_fault) -> (f.index, f.key, f.attempts, fault_shape f.fault))
-      r.task_faults )
+  ( (r.tasks, r.ok, r.crashed, r.worker_lost),
+    List.map (fun (f : Pool.task_fault) -> (f.index, f.key, fault_shape f.fault)) r.task_faults
+  )
 
 let tasks_10 = Array.init 10 (fun i -> i)
 let key_of = string_of_int
@@ -39,8 +37,7 @@ let test_all_ok () =
     results;
   Alcotest.(check int) "tasks" 10 report.Pool.tasks;
   Alcotest.(check int) "ok" 10 report.Pool.ok;
-  Alcotest.(check int) "no faults" 0 (report.Pool.crashed + report.Pool.timed_out);
-  Alcotest.(check int) "no retries" 0 report.Pool.retries_used
+  Alcotest.(check int) "no faults" 0 report.Pool.crashed
 
 let test_real_crash_contained () =
   (* A genuine task exception (not injected) is classified with its
@@ -64,36 +61,23 @@ let test_real_crash_contained () =
   Alcotest.(check int) "nine ok" 9 report.Pool.ok
 
 let test_injected_faults_match_plan () =
-  (* Seeded plan faulting >= 3 tasks: two crashes plus one stall that
-     trips the cooperative deadline.  The report must mirror the plan
+  (* A plan crashing three tasks: the report must mirror the plan
      exactly; all healthy tasks return results. *)
   let plan =
     Faultinject.of_list
-      [
-        ("2", Faultinject.crash ());
-        ("5", Faultinject.crash ());
-        ("8", Faultinject.slow 0.3);
-      ]
+      [ ("2", Faultinject.crash ()); ("5", Faultinject.crash ()); ("8", Faultinject.crash ()) ]
   in
   let results, _, report =
-    with_plan plan (fun () ->
-        Pool.sweep ~jobs:4 ~task_timeout:0.05 ~key:key_of
-          (fun x _ ->
-            Pool.check_deadline ();
-            x * 10)
-          tasks_10)
+    with_plan plan (fun () -> Pool.sweep ~jobs:4 ~key:key_of (fun x _ -> x * 10) tasks_10)
   in
   Array.iteri
     (fun i r ->
       match (r, i) with
-      | Error (Pool.Crashed _), (2 | 5) -> ()
-      | Error (Pool.Timed_out { budget }), 8 ->
-        Alcotest.(check (float 1e-9)) "budget recorded" 0.05 budget
+      | Error (Pool.Crashed _), (2 | 5 | 8) -> ()
       | Ok v, _ -> Alcotest.(check int) "healthy result" (i * 10) v
       | Error f, _ -> Alcotest.failf "task %d unexpectedly faulted: %s" i (fault_shape f))
     results;
-  Alcotest.(check int) "crashed" 2 report.Pool.crashed;
-  Alcotest.(check int) "timed out" 1 report.Pool.timed_out;
+  Alcotest.(check int) "crashed" 3 report.Pool.crashed;
   Alcotest.(check int) "ok" 7 report.Pool.ok;
   Alcotest.(check (list (pair int string)))
     "faulted tasks in task order"
@@ -102,58 +86,15 @@ let test_injected_faults_match_plan () =
        (fun (f : Pool.task_fault) -> (f.index, f.key))
        report.Pool.task_faults)
 
-let test_retry_recovers_bit_identical () =
-  (* Crash directives with a 1-attempt budget: the retry succeeds, and
-     recovered results equal the unfaulted serial run exactly. *)
-  let f x = (x * 7) + 3 in
-  let unfaulted = Array.map f tasks_10 in
-  let plan =
-    Faultinject.of_list
-      [
-        ("1", Faultinject.crash ~attempts:1 ());
-        ("4", Faultinject.crash ~attempts:1 ());
-        ("9", Faultinject.crash ~attempts:1 ());
-      ]
-  in
-  let results, _, report =
-    with_plan plan (fun () ->
-        Pool.sweep ~jobs:3 ~retries:1 ~key:key_of (fun x _ -> f x) tasks_10)
-  in
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check (result int reject)) "recovered == unfaulted" (Ok unfaulted.(i)) r)
-    results;
-  Alcotest.(check int) "all ok" 10 report.Pool.ok;
-  Alcotest.(check int) "three recovered by retry" 3 report.Pool.retried_ok;
-  Alcotest.(check int) "three extra attempts" 3 report.Pool.retries_used;
-  Alcotest.(check int) "nothing faulted" 0 (report.Pool.crashed + report.Pool.timed_out)
-
-let test_exhausted_retries_fault () =
-  (* A crash directive outlasting the retry budget still faults, with
-     the attempt count recorded. *)
-  let plan = Faultinject.of_list [ ("3", Faultinject.crash ~attempts:5 ()) ] in
-  let _, _, report =
-    with_plan plan (fun () ->
-        Pool.sweep ~jobs:2 ~retries:2 ~key:key_of (fun x _ -> x) tasks_10)
-  in
-  Alcotest.(check int) "crashed" 1 report.Pool.crashed;
-  Alcotest.(check int) "retries spent" 2 report.Pool.retries_used;
-  match report.Pool.task_faults with
-  | [ f ] -> Alcotest.(check int) "3 attempts made" 3 f.Pool.attempts
-  | _ -> Alcotest.fail "expected exactly one task fault"
-
 let test_supervised_jobs_invariance () =
   (* Same plan, same tasks: the report and results are identical at any
      job count (modulo backtrace text, which is caught-site noise). *)
   let plan =
-    Faultinject.of_list
-      [ ("0", Faultinject.crash ()); ("7", Faultinject.crash ~attempts:1 ()) ]
+    Faultinject.of_list [ ("0", Faultinject.crash ()); ("7", Faultinject.crash ()) ]
   in
   let run jobs =
     with_plan plan (fun () ->
-        let results, _, report =
-          Pool.sweep ~jobs ~retries:1 ~key:key_of (fun x _ -> x * 2) tasks_10
-        in
+        let results, _, report = Pool.sweep ~jobs ~key:key_of (fun x _ -> x * 2) tasks_10 in
         (Array.map (Result.map_error fault_shape) results, report_shape report))
   in
   let serial = run 1 in
@@ -171,7 +112,7 @@ let test_seeded_plan_deterministic () =
     List.filter
       (fun k ->
         Faultinject.arm (Faultinject.seeded ~rate ~seed ());
-        let hit = Faultinject.fault_for ~key:k ~attempt:0 <> None in
+        let hit = Faultinject.crash_for k in
         Faultinject.disarm ();
         hit)
       keys
@@ -192,7 +133,7 @@ let test_stats_discard_faulted () =
   let body x (ctx : Pool.ctx) =
     Counter.incr ctx.Pool.counters "t.count";
     Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    (* the crash fires before the body on attempt 0, so partial-stats
+    (* an injected crash fires before the body, so partial-stats
        discard is exercised by the *real* exception below *)
     if x = 4 then failwith "late crash after stats were touched";
     x
@@ -277,11 +218,9 @@ let test_batched_mid_chunk_crash_isolated () =
 
 let test_batched_supervised_matches_unbatched () =
   (* Same plan at several batch sizes: results, merged stats (minus
-     pool.chunks) and the report all equal the serial unbatched run;
-     retries re-seed per task exactly as before. *)
+     pool.chunks) and the report all equal the serial unbatched run. *)
   let plan =
-    Faultinject.of_list
-      [ ("2", Faultinject.crash ~attempts:1 ()); ("6", Faultinject.crash ()) ]
+    Faultinject.of_list [ ("2", Faultinject.crash ()); ("6", Faultinject.crash ()) ]
   in
   let body x (ctx : Pool.ctx) =
     Counter.incr ~by:x ctx.Pool.counters "t.sum";
@@ -298,14 +237,14 @@ let test_batched_supervised_matches_unbatched () =
   in
   let unbatched =
     with_plan plan (fun () ->
-        shape (Pool.sweep ~jobs:1 ~batch_size:1 ~retries:1 ~key:key_of body tasks_10))
+        shape (Pool.sweep ~jobs:1 ~batch_size:1 ~key:key_of body tasks_10))
   in
   List.iter
     (fun batch ->
       let batched =
         with_plan plan (fun () ->
             shape
-              (Pool.sweep ~jobs:3 ~batch_size:batch ~retries:1 ~key:key_of body tasks_10))
+              (Pool.sweep ~jobs:3 ~batch_size:batch ~key:key_of body tasks_10))
       in
       Alcotest.(check bool)
         (Printf.sprintf "batch=%d matches unbatched" batch)
@@ -324,7 +263,7 @@ let test_security_sweep_supervised_degrades () =
     with_plan plan (fun () ->
         Chex86_harness.Security.sweep_stats_supervised ~jobs:2 exploits)
   in
-  Alcotest.(check int) "one fault" 1 (report.Pool.crashed + report.Pool.timed_out);
+  Alcotest.(check int) "one fault" 1 report.Pool.crashed;
   List.iteri
     (fun i ((e : Chex86_exploits.Exploit.t), r) ->
       match r with
@@ -456,8 +395,7 @@ let test_killed_then_resumed_sweep () =
           [ "swaptions"; "mcf"; "canneal" ]
       in
       let report = Runner.prefetch_supervised ~jobs:2 jobs_list in
-      Alcotest.(check int) "cold sweep healthy" 0
-        (report.Pool.crashed + report.Pool.timed_out);
+      Alcotest.(check int) "cold sweep healthy" 0 report.Pool.crashed;
       let first =
         List.map
           (fun name ->
@@ -471,8 +409,7 @@ let test_killed_then_resumed_sweep () =
       Unix.truncate victim 30;
       Runner.reset_for_tests ();
       let report = Runner.prefetch_supervised ~jobs:2 jobs_list in
-      Alcotest.(check int) "resumed sweep healthy" 0
-        (report.Pool.crashed + report.Pool.timed_out);
+      Alcotest.(check int) "resumed sweep healthy" 0 report.Pool.crashed;
       let second =
         List.map
           (fun name ->
@@ -488,7 +425,7 @@ let test_killed_then_resumed_sweep () =
 
 let test_prefetch_supervised_records_faults () =
   (* A faulted job is visible through run_workload_result and
-     faulted_jobs, and a later supervised prefetch does not retry it. *)
+     faulted_jobs, and a later supervised prefetch does not run it again. *)
   with_store (fun () ->
       let w = W.find "swaptions" in
       let job = Runner.job ~tag:"st5" ~scale:1 Runner.insecure w in
@@ -500,28 +437,9 @@ let test_prefetch_supervised_records_faults () =
       | _ -> Alcotest.fail "fault should be reported through run_workload_result");
       Alcotest.(check int) "recorded in the fault table" 1
         (List.length (Runner.faulted_jobs ()));
-      (* Re-prefetching skips the faulted key entirely (no retry storm). *)
+      (* Re-prefetching skips the faulted key entirely. *)
       let report2 = Runner.prefetch_supervised ~jobs:2 [ job ] in
       Alcotest.(check int) "nothing re-attempted" 0 report2.Pool.tasks)
-
-let test_sliced_slow_respects_deadline () =
-  (* A Slow directive far exceeding the wall budget must not block the
-     domain for the full stall: the injected sleep is sliced and
-     re-checks the cooperative deadline between naps, so the task times
-     out promptly instead of holding its domain for the whole stall. *)
-  let plan = Faultinject.of_list [ ("0", Faultinject.slow 30.) ] in
-  let t0 = Pool.now () in
-  let results, _, report =
-    with_plan plan (fun () ->
-        Pool.sweep ~jobs:1 ~task_timeout:0.2 ~key:key_of (fun x _ -> x) [| 0 |])
-  in
-  let elapsed = Pool.now () -. t0 in
-  Alcotest.(check bool) "timed out promptly, not after the 30s stall" true
-    (elapsed < 5.);
-  (match results.(0) with
-  | Error (Pool.Timed_out _) -> ()
-  | _ -> Alcotest.fail "expected a timeout");
-  Alcotest.(check int) "one timeout" 1 report.Pool.timed_out
 
 let test_tmp_reclamation () =
   (* Stale .tmp-<pid>-* files from a killed sweep are swept on
@@ -611,15 +529,9 @@ let () =
           Alcotest.test_case "real crash contained" `Quick test_real_crash_contained;
           Alcotest.test_case "injected faults match plan" `Quick
             test_injected_faults_match_plan;
-          Alcotest.test_case "retry recovers bit-identical" `Quick
-            test_retry_recovers_bit_identical;
-          Alcotest.test_case "exhausted retries fault" `Quick
-            test_exhausted_retries_fault;
           Alcotest.test_case "jobs invariance" `Quick test_supervised_jobs_invariance;
           Alcotest.test_case "seeded plan deterministic" `Quick
             test_seeded_plan_deterministic;
-          Alcotest.test_case "sliced slow respects deadline" `Quick
-            test_sliced_slow_respects_deadline;
         ] );
       ( "batched",
         [

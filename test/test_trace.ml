@@ -25,8 +25,8 @@ let selftest_fn =
 
 let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 
-let sweep ?retries ~jobs ~batch_size tasks =
-  Pool.sweep ~jobs ~batch_size ?retries ~key:Fun.id
+let sweep ~jobs ~batch_size tasks =
+  Pool.sweep ~jobs ~batch_size ~key:Fun.id
     (fun key ctx -> selftest_fn ~key ~arg:"8" ctx)
     tasks
 
@@ -95,18 +95,17 @@ let prop_traced_untraced_identical =
       && counters_list ustats = counters_list tstats
       && hists_list ustats = hists_list tstats)
 
-(* Retries in the picture: the retry instants and per-attempt spans must
-   not leak into the merged stats either. *)
-let test_traced_untraced_with_retries () =
+(* Faults in the picture: the faulted tasks' spans must not leak into
+   the merged stats either. *)
+let test_traced_untraced_with_faults () =
   let tasks = tasks_n 8 in
   let plan =
     Faultinject.of_list
-      [ ("task-2", Faultinject.crash ~attempts:1 ()); ("task-5", Faultinject.crash ()) ]
+      [ ("task-2", Faultinject.crash ()); ("task-5", Faultinject.crash ()) ]
   in
   let run () =
     Faultinject.arm plan;
-    Fun.protect ~finally:Faultinject.disarm (fun () ->
-        sweep ~retries:2 ~jobs:2 ~batch_size:3 tasks)
+    Fun.protect ~finally:Faultinject.disarm (fun () -> sweep ~jobs:2 ~batch_size:3 tasks)
   in
   Trace.set_output None;
   let ur, ustats, ureport = run () in
@@ -119,19 +118,22 @@ let test_traced_untraced_with_retries () =
         "counters equal" (counters_list ustats) (counters_list tstats);
       Alcotest.(check bool) "histograms equal" true
         (hists_list ustats = hists_list tstats);
-      Alcotest.(check int) "same retries used" ureport.Pool.retries_used
-        treport.Pool.retries_used;
-      (* The trace must have recorded the retry instants. *)
-      let lines = read_lines path in
-      Alcotest.(check bool) "retry instants present" true
-        (List.exists
-           (fun l ->
-             match Json.of_string l with
-             | Ok v ->
-               Option.bind (Json.member "stage" v) Json.to_string_opt
-               = Some "retry"
-             | Error _ -> false)
-           lines))
+      Alcotest.(check int) "two crashed" 2 ureport.Pool.crashed;
+      Alcotest.(check int) "same crashes traced" ureport.Pool.crashed treport.Pool.crashed;
+      (* The trace must have recorded a task span for every task, the
+         faulted ones included. *)
+      let task_keys =
+        List.filter_map
+          (fun l ->
+            match Json.of_string l with
+            | Ok v when Option.bind (Json.member "stage" v) Json.to_string_opt = Some "task" ->
+              Option.bind (Json.member "attrs" v) (fun a ->
+                  Option.bind (Json.member "key" a) Json.to_string_opt)
+            | _ -> None)
+          (read_lines path)
+      in
+      Alcotest.(check (list string)) "one task span per task"
+        (Array.to_list tasks) (List.sort compare task_keys))
 
 (* --- JSONL well-formedness -------------------------------------------------- *)
 
@@ -354,8 +356,8 @@ let () =
         [
           Alcotest.test_case "off by default" `Quick test_off_by_default;
           QCheck_alcotest.to_alcotest prop_traced_untraced_identical;
-          Alcotest.test_case "traced == untraced with retries" `Quick
-            test_traced_untraced_with_retries;
+          Alcotest.test_case "traced == untraced with faults" `Quick
+            test_traced_untraced_with_faults;
         ] );
       ( "jsonl",
         [
