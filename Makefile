@@ -5,7 +5,7 @@
 #   make test    dune runtest only
 #   make test-checked   dune runtest without -unsafe (bounds-checked)
 
-.PHONY: all build test test-checked bench smoke fault-smoke remote-smoke \
+.PHONY: all build test test-checked smoke fault-smoke remote-smoke \
 	trace-smoke trace-frontend-smoke security-matrix store-smoke check clean
 
 all: build
@@ -21,15 +21,6 @@ test:
 # the default build stays as it is.
 test-checked:
 	dune runtest --profile checked --build-dir _build_checked
-
-# Simulator-throughput trajectory: times each (workload, variant) pair
-# end-to-end and writes BENCH_<n>.json at the next free index (committed
-# snapshots form the perf history).  Fails with exit 1 if any pair
-# regresses more than CHEX86_BENCH_MAX_REGRESS (default 0.20) against
-# the latest earlier snapshot.  Knobs: CHEX86_BENCH_MIN_SECONDS,
-# CHEX86_BENCH_DIR, CHEX86_SCALE, CHEX86_WORKLOADS.
-bench: build
-	dune exec bench/main.exe -- bench
 
 # Quick end-to-end sanity: a figure-6 sweep on three representative
 # workloads, sharded over 2 worker domains in batched chunks.
@@ -72,7 +63,8 @@ remote-smoke: build
 # processes must (1) leave a trace the trace-summary validator accepts
 # (every end has a begin, parents close after children), (2) contain
 # stitched worker span streams alongside the supervisor's, and (3) dump
-# a parseable metrics snapshot.
+# a metrics snapshot holding the fault report's counts and the
+# supervisor's tally of all 896 exploits.
 trace-smoke: build
 	rm -f /tmp/chex86-trace.jsonl /tmp/chex86-metrics.json
 	./_build/default/bin/security_eval.exe --workers 2 --no-cache \
@@ -80,6 +72,8 @@ trace-smoke: build
 	./_build/default/bin/chex86_sim.exe trace-summary /tmp/chex86-trace.jsonl
 	grep -q '"src":"w' /tmp/chex86-trace.jsonl
 	grep -q '"pool.ok":' /tmp/chex86-metrics.json
+	grep -q '"sweep.total":896' /tmp/chex86-metrics.json
+	grep -q '"sweep.protected_macro_insns"' /tmp/chex86-metrics.json
 
 # Trace-driven frontend sanity: the acceptance one-liner, then the
 # deterministic generated trace (seed 1) piped through two presets with

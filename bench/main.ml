@@ -22,7 +22,9 @@
    (--cache-dir / --no-cache). The
    per-experiment index mapping each target to the paper's table or
    figure lives in DESIGN.md; EXPERIMENTS.md records the
-   paper-vs-measured comparison of a full run. *)
+   paper-vs-measured comparison of a full run.  The simulator's own
+   speed is perfbench's to measure (perfbench/README.md): its [pairs]
+   workload writes the BENCH_<n>.json trajectory. *)
 
 module Experiments = Chex86_harness.Experiments
 module Pool = Chex86_harness.Pool
@@ -169,222 +171,6 @@ let run_microbenches () =
         (Test.elements test))
     (microbench_tests ())
 
-(* --- simulated-machine throughput --------------------------------------- *)
-
-let run_throughput () =
-  print_endline (Chex86_stats.Render.banner "Simulator throughput");
-  let w = Chex86_workloads.Workloads.find "mcf" in
-  List.iter
-    (fun (name, config) ->
-      let t0 = Pool.now () in
-      let run = Chex86_harness.Runner.run_program config (w.build ~scale:1) in
-      let dt = Pool.now () -. t0 in
-      Printf.printf "%-40s %8.0f kinsn/s (%d macro-ops in %.2fs)\n%!" name
-        (float_of_int run.Chex86_harness.Runner.macro_insns /. dt /. 1000.)
-        run.Chex86_harness.Runner.macro_insns dt)
-    [
-      ("insecure baseline", Chex86_harness.Runner.insecure);
-      ("CHEx86 prediction-driven", Chex86_harness.Runner.prediction);
-      ("ASan", Chex86_harness.Runner.Asan);
-    ]
-
-(* --- BENCH_<n>.json benchmark trajectory --------------------------------- *)
-
-(* `bench` times simulated macro-instructions per second for each
-   (workload, variant) pair and appends an atomically written
-   BENCH_<n>.json snapshot (next free index) so successive PRs leave a
-   perf trajectory to defend.  When an earlier snapshot exists, any pair
-   whose insns/sec drops by more than CHEX86_BENCH_MAX_REGRESS (default
-   0.20; set to 1 to disable) fails the run with exit 1 — the snapshot is
-   still written first so the regression is inspectable. *)
-
-module Json = Chex86_stats.Json
-module Runner = Chex86_harness.Runner
-
-let bench_variants =
-  [
-    ("insecure", Runner.insecure);
-    ("chex86", Runner.prediction);
-    ("always_on", Runner.Chex (Chex86.Variant.make Chex86.Variant.Microcode_always_on));
-    ("asan", Runner.Asan);
-  ]
-
-let default_bench_workloads = [ "mcf"; "canneal"; "freqmine" ]
-
-let bench_workloads () =
-  match Sys.getenv_opt "CHEX86_WORKLOADS" with
-  | None | Some "" -> List.map Chex86_workloads.Workloads.find default_bench_workloads
-  | Some _ -> Experiments.workloads ()
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some f -> f
-    | None ->
-      Printf.eprintf "%s: not a number: %S\n" name s;
-      exit 1)
-
-let bench_min_seconds () = env_float "CHEX86_BENCH_MIN_SECONDS" 0.5
-let bench_max_regress () = env_float "CHEX86_BENCH_MAX_REGRESS" 0.20
-let bench_dir () = Option.value (Sys.getenv_opt "CHEX86_BENCH_DIR") ~default:"."
-
-(* Snapshot files are BENCH_<n>.json in [dir]; returns the highest index
-   present, with its path. *)
-let latest_snapshot dir =
-  let best = ref None in
-  (try
-     Array.iter
-       (fun f ->
-         if
-           String.length f > 11
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json"
-         then
-           match int_of_string_opt (String.sub f 6 (String.length f - 11)) with
-           | Some n when (match !best with Some (m, _) -> n > m | None -> true) ->
-             best := Some (n, Filename.concat dir f)
-           | _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  !best
-
-(* One timed (workload, variant) cell: repeat fresh end-to-end runs until
-   the accumulated simulation time crosses the minimum window, then
-   report aggregate macro-insns/sec. *)
-let measure_pair (w : Chex86_workloads.Bench_spec.t) config =
-  let program = w.build ~scale:Experiments.scale in
-  let min_seconds = bench_min_seconds () in
-  let runs = ref 0
-  and insns = ref 0
-  and uops = ref 0
-  and cycles = ref 0
-  and seconds = ref 0. in
-  while !seconds < min_seconds || !runs < 2 do
-    let t0 = Pool.now () in
-    let r = Runner.run_program config program in
-    seconds := !seconds +. (Pool.now () -. t0);
-    incr runs;
-    insns := !insns + r.Runner.macro_insns;
-    uops := !uops + r.Runner.uops;
-    cycles := r.Runner.cycles
-  done;
-  let rate = float_of_int !insns /. !seconds in
-  (`Runs !runs, `Insns !insns, `Uops !uops, `Cycles !cycles, `Seconds !seconds, `Rate rate)
-
-let atomic_write_json path (doc : Json.t) =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
-
-(* The previous snapshot's insns/sec per (workload, variant). *)
-let rates_of_snapshot path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  match Json.of_string body with
-  | Error e ->
-    Printf.eprintf "bench: unreadable snapshot %s: %s\n" path e;
-    []
-  | Ok doc -> (
-    match Json.member "results" doc with
-    | Some (Json.List entries) ->
-      List.filter_map
-        (fun e ->
-          match
-            ( Option.bind (Json.member "workload" e) Json.to_string_opt,
-              Option.bind (Json.member "variant" e) Json.to_string_opt,
-              Option.bind (Json.member "insns_per_sec" e) Json.to_float_opt )
-          with
-          | Some w, Some v, Some r -> Some ((w, v), r)
-          | _ -> None)
-        entries
-    | _ -> [])
-
-let run_bench () =
-  (* The de-allocated cycle core leaves a small, short-lived allocation
-     profile; an 8 MW minor heap keeps what remains from being promoted
-     (and then major-collected) inside the measured window. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  let dir = bench_dir () in
-  let prev = latest_snapshot dir in
-  let index = match prev with Some (n, _) -> n + 1 | None -> 1 in
-  let workloads = bench_workloads () in
-  let results =
-    List.concat_map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        List.map
-          (fun (vname, config) ->
-            let ( `Runs runs,
-                  `Insns insns,
-                  `Uops uops,
-                  `Cycles cycles,
-                  `Seconds seconds,
-                  `Rate rate ) =
-              measure_pair w config
-            in
-            Printf.printf "%-12s %-10s %10.0f insn/s (%d run(s), %.2fs)\n%!" w.name
-              vname rate runs seconds;
-            ( (w.name, vname),
-              Json.Obj
-                [
-                  ("workload", Json.String w.name);
-                  ("variant", Json.String vname);
-                  ("runs", Json.Int runs);
-                  ("macro_insns", Json.Int insns);
-                  ("uops", Json.Int uops);
-                  ("cycles", Json.Int cycles);
-                  ("seconds", Json.Float seconds);
-                  ("insns_per_sec", Json.Float rate);
-                ],
-              rate ))
-          bench_variants)
-      workloads
-  in
-  let path = Filename.concat dir (Printf.sprintf "BENCH_%d.json" index) in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String "chex86-bench-v1");
-        ("index", Json.Int index);
-        ("scale", Json.Int Experiments.scale);
-        ("unix_time", Json.Float (Unix.time ()));
-        ("hostname", Json.String (Unix.gethostname ()));
-        ("min_seconds", Json.Float (bench_min_seconds ()));
-        ("results", Json.List (List.map (fun (_, obj, _) -> obj) results));
-      ]
-  in
-  atomic_write_json path doc;
-  Printf.printf "[wrote %s]\n%!" path;
-  (* Trajectory gate: compare against the previous snapshot. *)
-  (match prev with
-  | None -> ()
-  | Some (pn, ppath) ->
-    let old_rates = rates_of_snapshot ppath in
-    let tolerance = bench_max_regress () in
-    let regressions =
-      List.filter_map
-        (fun (key, _, rate) ->
-          match List.assoc_opt key old_rates with
-          | Some old_rate when old_rate > 0. && rate < (1. -. tolerance) *. old_rate ->
-            Some (key, rate /. old_rate)
-          | _ -> None)
-        results
-    in
-    List.iter
-      (fun ((w, v), ratio) ->
-        Printf.eprintf
-          "bench: REGRESSION %s/%s at %.2fx of BENCH_%d.json (floor %.2fx)\n%!" w v
-          ratio pn (1. -. tolerance))
-      regressions;
-    if regressions <> [] then exit 1);
-  ""
-
 (* --- driver -------------------------------------------------------------- *)
 
 let targets =
@@ -396,11 +182,6 @@ let targets =
         fun () ->
           run_microbenches ();
           "" );
-      ( "throughput",
-        fun () ->
-          run_throughput ();
-          "" );
-      ("bench", run_bench);
     ]
 
 let () =

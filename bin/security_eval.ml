@@ -113,7 +113,7 @@ let () =
     exit 0
   end;
   let verbose = opts.verbose in
-  let slots, _stats, report =
+  let slots, _tally, report =
     (* Root span: groups the suite sweep under one top-level node in
        trace-summary output. *)
     Chex86_harness.Trace.with_span ~stage:"security-eval"

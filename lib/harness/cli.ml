@@ -21,7 +21,9 @@ let common_flags_doc =
   \  --workers N         shard sweeps over N spawned worker processes (0 = off)\n\
   \  --heartbeat S       seconds of worker silence before it is killed (default 30)\n\
   \  --trace FILE        write structured span events (JSONL) to FILE\n\
-  \  --metrics FILE      dump merged sweep counters/histograms to FILE as JSON at exit"
+  \  --metrics FILE      write sweep fault-report counts and security tallies to\n\
+  \                      FILE as JSON at exit (either flag exits 1 if FILE cannot\n\
+  \                      be opened)"
 
 (* [--flag=value] becomes [--flag; value] so every flag below accepts
    both spellings. *)
@@ -60,6 +62,12 @@ let set_cpu value =
   | None ->
     die "unknown --cpu preset %S (available: %s)" value
       (String.concat ", " (Chex86_machine.Preset.names ()))
+
+(* An unopenable telemetry file is a malformed flag: the run would
+   otherwise finish without the telemetry asked for. *)
+let set_telemetry flag set value =
+  if value = "" then die "invalid %s value: empty" flag;
+  try set (Some value) with Sys_error msg -> die "cannot open %s file %s (%s)" flag value msg
 
 let set_heartbeat value =
   match float_of_string_opt value with
@@ -111,13 +119,11 @@ let parse_common args =
       go rest
     | "--cpu" :: [] -> die "missing value for --cpu"
     | "--trace" :: value :: rest ->
-      if value = "" then die "invalid --trace value: empty";
-      Trace.set_output (Some value);
+      set_telemetry "--trace" Trace.set_output value;
       go rest
     | "--trace" :: [] -> die "missing value for --trace"
     | "--metrics" :: value :: rest ->
-      if value = "" then die "invalid --metrics value: empty";
-      Trace.set_metrics (Some value);
+      set_telemetry "--metrics" Trace.set_metrics value;
       go rest
     | "--metrics" :: [] -> die "missing value for --metrics"
     | arg :: rest -> arg :: go rest

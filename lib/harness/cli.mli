@@ -6,12 +6,14 @@
     [--cache-dir], [--no-cache], [--cpu PRESET], [--workers N] (spawned
     worker processes), [--heartbeat S] (seconds of worker silence
     before a kill), [--trace FILE] (structured span events as JSONL),
-    [--metrics FILE] (merged sweep stats as JSON at exit) (each also as
-    [--flag=value]) — applies them to the process-wide knobs ({!Pool},
-    {!Runner.Store}, {!Remote}, {!Trace}), arms the fault-injection plan
-    and named points from CHEX86_FAULT_RATE / CHEX86_FAULT_SEED /
-    CHEX86_FAULT_KIND / CHEX86_FAULT_POINT, and returns the remaining
-    arguments. Malformed values print a one-line error and exit 1. The
+    [--metrics FILE] (each sweep's fault-report counts and the security
+    tally as JSON at exit) (each also as [--flag=value]) — applies them
+    to the process-wide knobs ({!Pool}, {!Runner.Store}, {!Remote},
+    {!Trace}), arms the fault-injection plan and named points from
+    CHEX86_FAULT_RATE / CHEX86_FAULT_SEED / CHEX86_FAULT_KIND /
+    CHEX86_FAULT_POINT, and returns the remaining arguments. Malformed
+    values, and a [--trace] or [--metrics] file that cannot be opened,
+    print a one-line error naming the value and exit 1. The
     on-disk store defaults to [Runner.Store.default_dir] unless
     [--no-cache] is given; [--workers 0] forces in-process domains. *)
 val parse_common : string list -> string list

@@ -756,7 +756,7 @@ let table4 () =
 (* --- Security ----------------------------------------------------------------- *)
 
 let security () =
-  let slots, stats, report =
+  let slots, tally, report =
     Security.sweep_stats_supervised Chex86_exploits.Exploits.all
   in
   (* Completed evaluations tabulate as before; faulted exploits are
@@ -801,28 +801,22 @@ let security () =
       (fun (cls, n) -> [ cls; string_of_int n ])
       (Security.class_breakdown results)
   in
-  (* Totals from the merged worker stats (tallied task-privately on the
-     domain pool, merged in exploit order). *)
-  let merged = stats.Pool.counters in
+  let counters = tally.Security.counters in
   let totals =
     Printf.sprintf "Merged sweep stats: %d/%d blocked, %d with the expected class"
-      (Counter.get merged "sweep.blocked")
-      (Counter.get merged "sweep.total")
-      (Counter.get merged "sweep.expected_class")
+      (Counter.get counters "sweep.blocked")
+      (Counter.get counters "sweep.total")
+      (Counter.get counters "sweep.expected_class")
   in
+  (* Every task faulted: no spread to print, not an all-zero one. *)
   let insn_spread =
-    match List.assoc_opt "sweep.protected_macro_insns" stats.Pool.histograms with
-    (* A merged-but-empty histogram (every task faulted, or a filtered
-       sweep ran zero exploits) must not print as a real all-zero
-       spread; [Histogram.pp] makes the emptiness explicit. *)
-    | Some h when Chex86_stats.Histogram.count h > 0 ->
+    let h = tally.Security.protected_macro_insns in
+    if Chex86_stats.Histogram.count h = 0 then ""
+    else
       Printf.sprintf "Protected-run macro-ops per exploit: p50=%d p99=%d max=%d"
         (Chex86_stats.Histogram.percentile h 0.50)
         (Chex86_stats.Histogram.percentile h 0.99)
         (Chex86_stats.Histogram.max_value h)
-    | Some h ->
-      Format.asprintf "Protected-run macro-ops per exploit: %a" Chex86_stats.Histogram.pp h
-    | None -> ""
   in
   String.concat "\n"
     ([

@@ -1,16 +1,13 @@
 (* Domains-based parallel experiment engine.
 
    Shards independent simulation tasks over a fixed-size pool of worker
-   domains.  Three properties make parallel sweeps safe to trust:
+   domains.  Two properties make parallel sweeps safe to trust:
 
    - every task is self-contained: it builds its own guest program,
      monitor and counter group, so workers share no mutable state;
-   - per-task RNG streams are seeded from a stable hash of the task key
-     (FNV-1a over the key string), never from worker identity or
-     scheduling order;
-   - per-task stats are accumulated into private groups and merged by
-     the coordinator in task order, and the merge operators
-     ([Counter.merge] / [Histogram.merge]) are order-insensitive.
+   - a task reports only through its return value, and results land in
+     an array indexed by task, so output order is input order no matter
+     which worker ran what.
 
    Together these guarantee that a sweep at [~jobs:n] is bit-identical
    to the serial [~jobs:1] run (enforced by test/test_parallel.ml).
@@ -19,9 +16,7 @@
    in index order, through the exact same code path as before the pool
    existed. *)
 
-module Rng = Chex86_stats.Rng
 module Counter = Chex86_stats.Counter
-module Histogram = Chex86_stats.Histogram
 
 (* Without this, worker-side [Printexc.get_raw_backtrace] returns an
    empty trace and the failure's origin is lost across the domain
@@ -73,7 +68,7 @@ let strict () = Atomic.get current_strict
 let fault_count = Atomic.make 0
 let faults_seen () = Atomic.get fault_count
 
-(* Stable 64-bit FNV-1a over the task key.  [Hashtbl.hash] would also be
+(* Stable 64-bit FNV-1a over a key.  [Hashtbl.hash] would also be
    deterministic, but spelling the hash out pins the seed derivation
    against stdlib changes. *)
 let seed_of_key key =
@@ -85,8 +80,6 @@ let seed_of_key key =
   (* Int64.to_int keeps the low 63 bits; mask the sign bit so the seed
      is always non-negative. *)
   Int64.to_int !h land max_int
-
-let rng_of_key key = Rng.create (seed_of_key key)
 
 (* Run [compute ~slot i] for [i < n] across [jobs] workers.  [slot] is
    the worker's stable index in [0, jobs): the coordinator is slot 0 and
@@ -132,96 +125,14 @@ let run_indexed ~jobs n compute =
     slots;
   Array.map (function Some (Ok v) -> v | _ -> assert false) slots
 
-(* --- keyed tasks with private stats -------------------------------------- *)
-
-type ctx = {
-  key : string;
-  rng : Rng.t;
-  counters : Counter.group;
-  histogram : string -> Histogram.t;
-}
-
-type merged_stats = {
-  counters : Counter.group;
-  histograms : (string * Histogram.t) list;
-}
-
-(* Plain marshalable data: the unit the remote dispatch layer ships
-   across the process boundary. *)
-type task_snapshots = Counter.snapshot * (string * Histogram.snapshot) list
-
-(* Deterministic reduction: fold in task order (= the caller's key
-   order), not completion order.  [merge_raw] stays in snapshot form, so
-   the chunk loop can pre-merge each chunk on its own domain. *)
-let merge_raw per_task : task_snapshots =
-  let counter_total =
-    List.fold_left (fun acc (snap, _) -> Counter.merge acc snap)
-      Counter.empty_snapshot per_task
-  in
-  let hist_total : (string, Histogram.snapshot) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (_, hs) ->
-      List.iter
-        (fun (name, snap) ->
-          let prev =
-            Option.value ~default:Histogram.empty_snapshot
-              (Hashtbl.find_opt hist_total name)
-          in
-          Hashtbl.replace hist_total name (Histogram.merge prev snap))
-        hs)
-    per_task;
-  ( counter_total,
-    Hashtbl.fold (fun name snap acc -> (name, snap) :: acc) hist_total []
-    |> List.sort (fun (a, _) (b, _) -> compare a b) )
-
-let merge_snapshots per_task =
-  let counters, hists = merge_raw per_task in
-  {
-    counters = Counter.of_snapshot counters;
-    histograms = List.map (fun (name, snap) -> (name, Histogram.of_snapshot snap)) hists;
-  }
-
-(* Telemetry boundary: fold a sweep's merged stats into the --metrics
-   accumulator.  Runs after the merge is complete, so it observes —
-   never perturbs — the deterministic totals. *)
-let publish_metrics (stats : merged_stats) =
-  if Trace.metrics_on () then
-    Trace.metrics_absorb
-      ( Counter.group_snapshot stats.counters,
-        List.map (fun (n, h) -> (n, Histogram.snapshot h)) stats.histograms )
-
-(* Build a task-private context for [k]; reading the snapshots after the
-   task body ran yields the mergeable per-task stats. *)
-let make_ctx k =
-  let counters = Counter.create_group () in
-  let hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 4 in
-  let histogram name =
-    match Hashtbl.find_opt hists name with
-    | Some h -> h
-    | None ->
-      let h = Histogram.create () in
-      Hashtbl.add hists name h;
-      h
-  in
-  let ctx = { key = k; rng = rng_of_key k; counters; histogram } in
-  let snapshots () =
-    let hist_snaps =
-      Hashtbl.fold (fun name h acc -> (name, Histogram.snapshot h) :: acc) hists []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    (Counter.group_snapshot counters, hist_snaps)
-  in
-  (ctx, snapshots)
-
 (* --- batched scheduling ---------------------------------------------------- *)
 
 (* Chunks are contiguous [start, start+len) slices of the task index
-   space, each dispatched to one pool slot as a unit: one dispatch, one
-   stats snapshot and one coordinator merge round per *chunk* instead of
-   per task.  Contiguity keeps the merge deterministic for free —
-   iterating chunks in index order visits tasks in index order — and the
-   RNG stays seeded from the *task* key, never the chunk, so results are
-   bit-identical to --batch-size 1 and to a serial run. *)
+   space, each dispatched to one pool slot as a unit: one dispatch per
+   *chunk* instead of per task.  A task's result depends on the task
+   alone, never on its chunk, and contiguity puts chunk [ci]'s results
+   at [ci * batch ..], so results are bit-identical to --batch-size 1
+   and to a serial run. *)
 let chunk_ranges ~batch n =
   Array.init
     ((n + batch - 1) / batch)
@@ -233,12 +144,12 @@ let chunk_ranges ~batch n =
 
 (* The robustness analogue of CHEx86's fail-safe enforcement: a crashing
    task must not destroy a multi-hour sweep.  Each task runs under a
-   supervisor that classifies it as Ok / Crashed and folds a sweep-level
-   fault report into the merged stats instead of re-raising.
+   supervisor that classifies it as Ok / Crashed and returns a
+   sweep-level fault report beside the results instead of re-raising.
 
-   A task runs once.  The simulator is deterministic and no task body
-   draws from anything but its key, so running a faulted task again
-   would recompute the same fault.  Runaway guests are bounded by the
+   A task runs once.  The simulator is deterministic and a task's result
+   depends on the task alone, so running a faulted task again would
+   recompute the same fault.  Runaway guests are bounded by the
    simulation's [max_insns] budget, whose exhaustion is a reported
    outcome, not an exception; a task that hangs its process for good is
    contained only by the remote layer's heartbeat. *)
@@ -257,6 +168,7 @@ type fault_report = {
   worker_lost : int;
   worker_losses : int;
   task_faults : task_fault list;
+  transport : (string * int) list;
 }
 
 let fault_to_string = function
@@ -284,11 +196,10 @@ let render_fault_report ?(max_backtraces = 3) r =
     r.task_faults;
   Buffer.contents b
 
-(* One task run in this process: the injection hook, then the body
-   under a fresh private context, so a crashed task's partial stats are
-   discarded wholesale.  Never raises.  The in-process chunk body, the
-   remote worker and the remote layer's in-process fallback all run
-   tasks through this, which is what keeps their stats bit-identical. *)
+(* One task run in this process: the injection hook, then the body.
+   Never raises.  The in-process chunk body, the remote worker and the
+   remote layer's in-process fallback all run tasks through this, which
+   is what keeps their results bit-identical. *)
 let run_task ?(span_parent = 0) ~key f =
   let tid =
     if Trace.on () then Trace.span_begin ~parent:span_parent ~stage:"task" [ ("key", key) ]
@@ -297,9 +208,7 @@ let run_task ?(span_parent = 0) ~key f =
   let outcome =
     try
       if Faultinject.crash_for key then raise (Faultinject.Injected_crash key);
-      let ctx, snapshots = make_ctx key in
-      let v = f ctx in
-      Ok (v, snapshots ())
+      Ok (f ())
     with e ->
       let backtrace = Printexc.get_backtrace () in
       Error (Crashed { exn = Printexc.to_string e; backtrace })
@@ -307,7 +216,7 @@ let run_task ?(span_parent = 0) ~key f =
   Trace.span_end tid;
   outcome
 
-let build_report ~worker_losses ~chunks ~key tasks raw =
+let build_report ~worker_losses ~transport ~chunks ~key tasks raw =
   let crashed = ref 0 and worker_lost = ref 0 and faults = ref [] in
   Array.iteri
     (fun i outcome ->
@@ -327,32 +236,34 @@ let build_report ~worker_losses ~chunks ~key tasks raw =
     worker_lost = !worker_lost;
     worker_losses;
     task_faults = List.rev !faults;
+    transport;
   }
 
-(* Fault counters fold into the merged stats so a partial sweep carries
-   its own health record; they are derived from the per-task
-   classification (scheduling-independent), preserving the jobs=n ==
-   jobs=1 determinism contract. *)
-let fault_counters report group =
-  Counter.incr ~by:report.tasks group "pool.tasks";
-  Counter.incr ~by:report.ok group "pool.ok";
-  Counter.incr ~by:report.crashed group "pool.crashed";
-  Counter.incr ~by:report.worker_lost group "pool.worker_lost"
+(* Telemetry boundary: the report's counts go to the --metrics
+   accumulator under their [pool.*] names, with the transport's
+   [remote.*] counters.  Runs once the report is complete, so it
+   observes, never perturbs, the sweep. *)
+let publish_report r =
+  if Trace.metrics_on () then begin
+    let g = Counter.create_group () in
+    List.iter
+      (fun (name, by) -> Counter.incr ~by g name)
+      (("pool.tasks", r.tasks) :: ("pool.ok", r.ok) :: ("pool.crashed", r.crashed)
+      :: ("pool.worker_lost", r.worker_lost) :: ("pool.chunks", r.chunks) :: r.transport);
+    Trace.metrics_absorb (Counter.group_snapshot g, [])
+  end
 
 (* --- the chunk loop ------------------------------------------------------- *)
 
 (* One chunk = one pool dispatch, but supervision stays per *task*: the
    body returns one outcome per task of its chunk, and a crash or worker
    loss mid-chunk faults exactly that task.
-   Each chunk's completed tasks are pre-merged on the slot that ran it,
-   so the coordinator merges per chunk, in chunk (= task) order.
 
-   [pool.chunks] records how many dispatch rounds the sweep actually
-   paid.  It is the *only* scheduling-dependent counter the pool ever
-   merges: with auto batch sizing it varies with --jobs, so determinism
-   tests compare merged counters modulo this one name.  [transport] is
-   read once after the last chunk: the worker loss events and the
-   transport's own counters, both zero/empty in process. *)
+   [chunks] records how many dispatch rounds the sweep actually paid:
+   with auto batch sizing it varies with --jobs, so determinism tests
+   compare reports without it.  [transport] is read once after the last
+   chunk: the worker loss events and the transport's own counters, both
+   zero/empty in process. *)
 let run_chunks ?jobs:j ?batch_size ?(transport = fun () -> (0, [])) ~key body tasks =
   let jobs = match j with Some j -> max 1 j | None -> jobs () in
   let n = Array.length tasks in
@@ -361,24 +272,15 @@ let run_chunks ?jobs:j ?batch_size ?(transport = fun () -> (0, [])) ~key body ta
   let per_chunk =
     run_indexed ~jobs (Array.length chunks) (fun ~slot ci ->
         let start, len = chunks.(ci) in
-        let outcomes = body ~slot ~chunk:ci ~start ~len in
-        let done_snaps =
-          Array.to_list outcomes
-          |> List.filter_map (function Ok (_, snaps) -> Some snaps | Error _ -> None)
-        in
-        (Array.map (Result.map fst) outcomes, merge_raw done_snaps))
+        body ~slot ~chunk:ci ~start ~len)
   in
-  let raw = Array.init n (fun i -> (fst per_chunk.(i / batch)).(i mod batch)) in
-  let worker_losses, transport_counters = transport () in
+  let raw = Array.init n (fun i -> per_chunk.(i / batch).(i mod batch)) in
+  let worker_losses, transport = transport () in
   let report =
-    build_report ~worker_losses ~chunks:(Array.length chunks) ~key tasks raw
+    build_report ~worker_losses ~transport ~chunks:(Array.length chunks) ~key tasks raw
   in
-  let stats = merge_snapshots (Array.to_list (Array.map snd per_chunk)) in
-  fault_counters report stats.counters;
-  Counter.incr ~by:report.chunks stats.counters "pool.chunks";
-  List.iter (fun (name, by) -> Counter.incr ~by stats.counters name) transport_counters;
-  publish_metrics stats;
-  (raw, stats, report)
+  publish_report report;
+  (raw, report)
 
 (* --- the sweep ------------------------------------------------------------ *)
 
@@ -394,7 +296,7 @@ let sweep ?jobs ?batch_size ~key f tasks =
       let outcomes =
         Array.init len (fun k ->
             let task = tasks.(start + k) in
-            run_task ~span_parent:cid ~key:(key task) (fun ctx -> f task ctx))
+            run_task ~span_parent:cid ~key:(key task) (fun () -> f task))
       in
       Trace.span_end cid;
       outcomes)

@@ -8,9 +8,8 @@
    forks/execs its own copy of [bin/chex86_worker.exe] over a socketpair,
    ships each chunk's task keys as length-prefixed, digest-checksummed
    frames and returns the streamed per-task outcomes.  Chunking,
-   chunk-to-slot assignment, the stats merge and the fault report are
-   Pool's, so results stay bit-identical to a serial run at any
-   (workers, batch) geometry.
+   chunk-to-slot assignment and the fault report are Pool's, so results
+   stay bit-identical to a serial run at any (workers, batch) geometry.
 
    Robustness model:
    - Liveness is observed, never assumed: a worker's frames (Hello,
@@ -36,14 +35,13 @@
    store wiring goes through [store_dir_provider]/[store_dir_applier],
    set by Runner at module init. *)
 
-module Counter = Chex86_stats.Counter
-module Histogram = Chex86_stats.Histogram
 module Rng = Chex86_stats.Rng
 
 (* v2: [request] gained the [trace] flag and Chunk_done's payload grew a
    third field carrying the worker's collected trace spans.  v3: no
-   retry or timeout budgets in [request], no attempt count in a result. *)
-let protocol_version = 3
+   retry or timeout budgets in [request], no attempt count in a result.
+   v4: a result carries the task's value alone, no stats snapshots. *)
+let protocol_version = 4
 
 (* --- process-wide knobs (CLI-set, argument-overridable) ------------------- *)
 
@@ -87,7 +85,7 @@ let store_dir_applier : (string option -> unit) ref = ref (fun _ -> ())
    kind up in its own registry, so supervisor and worker must link the
    same registration code (Security/Runner register theirs; [selftest]
    is built in). *)
-type kind_fn = key:string -> arg:string -> Pool.ctx -> string
+type kind_fn = key:string -> arg:string -> string
 
 let kinds : (string, kind_fn) Hashtbl.t = Hashtbl.create 8
 let kinds_lock = Mutex.create ()
@@ -97,8 +95,8 @@ let register_kind name fn =
 
 let find_kind name = Mutex.protect kinds_lock (fun () -> Hashtbl.find_opt kinds name)
 
-(* Built-in self-test kind: draws [arg] rounds from the task-keyed RNG
-   into a counter and histogram, so tests can assert remote == serial
+(* Built-in self-test kind: returns the sum of [arg] draws from an RNG
+   seeded by the task key, so tests can assert remote == serial
    bit-identity without simulating anything.  A key prefixed "wedge"
    stops its own process first (SIGSTOP): the unresponsive worker the
    heartbeat exists for.  A key prefixed "long" first spins for [arg]
@@ -107,7 +105,7 @@ let find_kind name = Mutex.protect kinds_lock (fun () -> Hashtbl.find_opt kinds 
 let selftest_kind = "selftest"
 
 let () =
-  register_kind selftest_kind (fun ~key ~arg ctx ->
+  register_kind selftest_kind (fun ~key ~arg ->
       if String.starts_with ~prefix:"wedge" key then Unix.kill (Unix.getpid ()) Sys.sigstop;
       if String.starts_with ~prefix:"long" key then begin
         let until = Pool.now () +. float_of_string arg in
@@ -116,14 +114,11 @@ let () =
         done
       end;
       let rounds = Option.value ~default:8 (int_of_string_opt arg) in
+      let rng = Rng.create (Pool.seed_of_key key) in
       let sum = ref 0 in
       for _ = 1 to rounds do
-        let d = Rng.int ctx.Pool.rng 1000 in
-        sum := !sum + d;
-        Counter.incr ~by:d ctx.Pool.counters "selftest.sum";
-        Histogram.add (ctx.Pool.histogram "selftest.draws") d
+        sum := !sum + Rng.int rng 1000
       done;
-      Counter.incr ctx.Pool.counters "selftest.runs";
       string_of_int !sum)
 
 (* --- frames ---------------------------------------------------------------
@@ -224,9 +219,9 @@ let read_frame fd =
 (* --- wire records ---------------------------------------------------------
 
    Marshalled as plain data (no closures): task keys and opaque arg
-   strings go out; per-task outcomes with mergeable stats snapshots come
-   back.  [indices] are global task indices — after a loss excludes a
-   faulted task, a re-dispatched chunk is no longer contiguous. *)
+   strings go out; per-task outcomes come back.  [indices] are global
+   task indices — after a loss excludes a faulted task, a re-dispatched
+   chunk is no longer contiguous. *)
 
 type request = {
   chunk_id : int;
@@ -245,7 +240,7 @@ type request = {
 
 type task_result = {
   t_index : int;
-  t_outcome : (string * Pool.task_snapshots, Pool.fault) result;
+  t_outcome : (string, Pool.fault) result;
 }
 
 (* --- worker side ----------------------------------------------------------- *)
@@ -331,7 +326,7 @@ module Worker = struct
           if Faultinject.worker_kill_for ~key ~attempt:req.dispatch_attempt then
             Unix.kill (Unix.getpid ()) Sys.sigkill;
           let outcome =
-            Pool.run_task ~span_parent:cid ~key (fun ctx -> fn ~key ~arg:req.args.(k) ctx)
+            Pool.run_task ~span_parent:cid ~key (fun () -> fn ~key ~arg:req.args.(k))
           in
           send link Result
             (Marshal.to_string { t_index = req.indices.(k); t_outcome = outcome } []))
@@ -403,7 +398,7 @@ let backoff_delay ~sid ~restarts =
   let exp =
     Float.min max_backoff_delay (backoff_base *. (2. ** float_of_int (max 0 (restarts - 1))))
   in
-  let rng = Pool.rng_of_key (Printf.sprintf "respawn/%d/%d" sid restarts) in
+  let rng = Rng.create (Pool.seed_of_key (Printf.sprintf "respawn/%d/%d" sid restarts)) in
   exp *. (1. +. (0.25 *. Rng.float rng))
 
 (* Both ends close on exec: slots spawn concurrently, and a sibling
@@ -659,10 +654,8 @@ let sweep ?batch_size ?spec:spec_override ?heartbeat:hb_override ?(task_loss_bud
           List.iter
             (fun k ->
               let i = start + k in
-              out.(k) <-
-                Some
-                  (Pool.run_task ~key:keys.(i) (fun ctx ->
-                       kind_fn ~key:keys.(i) ~arg:args.(i) ctx)))
+              let run () = kind_fn ~key:keys.(i) ~arg:args.(i) in
+              out.(k) <- Some (Pool.run_task ~key:keys.(i) run))
             ks
         | Some (fd, _) -> (
           match exchange fd ~attempt ks with
@@ -682,9 +675,10 @@ let sweep ?batch_size ?spec:spec_override ?heartbeat:hb_override ?(task_loss_bud
     go ~attempt:0 ~errs:0;
     Array.map Option.get out
   in
-  (* [remote.*] counters are scheduling- and environment-dependent by
-     nature (they record transport behaviour, not simulation results);
-     determinism comparisons exclude them, like [pool.chunks]. *)
+  (* The report's [transport] counters are scheduling- and
+     environment-dependent by nature (they record transport behaviour,
+     not simulation results); determinism comparisons exclude them, like
+     the report's [chunks]. *)
   let transport () =
     ( Atomic.get loss_events,
       [

@@ -6,9 +6,9 @@
     {!Pool.run_chunks} with a chunk body that ships the chunk's task
     keys, as length-prefixed, digest-checksummed frames, to the slot's
     own spawned [bin/chex86_worker.exe] and returns the streamed
-    per-task results. Chunking, the stats merge and the fault report are
-    the pool's, so results stay bit-identical to a serial run at any
-    (workers, batch) geometry.
+    per-task results. Chunking and the fault report are the pool's, so
+    results stay bit-identical to a serial run at any (workers, batch)
+    geometry.
 
     Robustness: frames are read under a receive timeout of one
     heartbeat, with SIGKILL escalation. Each worker beats from a thread
@@ -21,12 +21,12 @@
     [Pool.Worker_lost]; and a slot with no live worker runs its chunks
     in-process with a warning.
 
-    The [remote.*] counters added to merged stats
-    ([remote.workers], [remote.dispatches],
-    [remote.redispatched_tasks], [remote.worker_losses],
-    [remote.respawns], [remote.frame_errors], [remote.degraded]) record
-    transport behaviour and are scheduling-dependent by nature;
-    determinism comparisons exclude them, like [pool.chunks]. *)
+    The report's [transport] counters ([remote.workers],
+    [remote.dispatches], [remote.redispatched_tasks],
+    [remote.worker_losses], [remote.respawns], [remote.frame_errors],
+    [remote.degraded]), also published to [--metrics], record transport
+    behaviour and are scheduling-dependent by nature; determinism
+    comparisons exclude them, like the report's [chunks]. *)
 
 val protocol_version : int
 (** Version byte leading every frame; both sides refuse a mismatch. *)
@@ -76,7 +76,7 @@ val backoff_delay : sid:int -> restarts:int -> float
     Both sides must link the same registration code; workers call the
     [register_remote] entry points of Security and Runner at startup. *)
 
-type kind_fn = key:string -> arg:string -> Pool.ctx -> string
+type kind_fn = key:string -> arg:string -> string
 
 val register_kind : string -> kind_fn -> unit
 (** Idempotent (last registration wins). *)
@@ -86,8 +86,8 @@ val find_kind : string -> kind_fn option
     the bit-identity baseline for remote runs. *)
 
 val selftest_kind : string
-(** Built-in kind for tests: draws [arg] rounds from the task-keyed RNG
-    into [selftest.*] stats. A key prefixed ["wedge"] first stops its
+(** Built-in kind for tests: returns the sum of [arg] draws from
+    [Rng.create (Pool.seed_of_key key)]. A key prefixed ["wedge"] first stops its
     own process with SIGSTOP — the unresponsive worker the heartbeat
     exists for; a key prefixed ["long"] first spins for [arg] seconds
     without allocating — a healthy task longer than a heartbeat. *)
@@ -112,12 +112,13 @@ val sweep :
   key:('a -> string) ->
   arg:('a -> string) ->
   'a array ->
-  (string, Pool.fault) result array * Pool.merged_stats * Pool.fault_report
+  (string, Pool.fault) result array * Pool.fault_report
 (** Run [tasks] through {!Pool.run_chunks} with one worker process per
     slot ([?spec], default the process-wide spec; [Off] runs every
-    chunk in-process) and return the per-task outcomes; result slots
-    line up with input order, stats are bit-identical to a serial run
-    of the same kind function (modulo [pool.chunks] / [remote.*]). Each
+    chunk in-process) and return the per-task outcomes with the fault
+    report; result slots line up with input order and are bit-identical
+    to a serial run of the same kind function, and so is the report
+    (modulo its [chunks] and [transport]). Each
     slot may respawn its worker 3 times; a task may cost
     [?task_loss_budget] (default 1) worker losses before it is faulted
     as [Pool.Worker_lost]. Raises [Invalid_argument] for an

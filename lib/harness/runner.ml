@@ -1001,7 +1001,7 @@ let remote_job_arg j =
     []
 
 let register_remote () =
-  Remote.register_kind remote_kind (fun ~key:_ ~arg _ctx ->
+  Remote.register_kind remote_kind (fun ~key:_ ~arg ->
       let spec : remote_job_spec = Marshal.from_string arg 0 in
       (match Machine.Preset.find spec.r_preset with
       | Some p -> Machine.Preset.set p
@@ -1057,18 +1057,17 @@ let prefetch_supervised ?jobs ?batch_size job_list =
   Trace.with_span ~stage:"sweep"
     [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
   @@ fun () ->
-  let results, _stats, report =
+  let results, report =
     if Remote.enabled () && Array.length todo > 0 then begin
       register_remote ();
-      let payloads, stats, report =
+      let payloads, report =
         Remote.sweep ?batch_size ~kind:remote_kind ~key:job_key
           ~arg:remote_job_arg todo
       in
       let decode p = (Marshal.from_string p 0 : run) in
-      (Array.map (Result.map decode) payloads, stats, report)
+      (Array.map (Result.map decode) payloads, report)
     end
-    else
-      Pool.sweep ?jobs ?batch_size ~key:job_key (fun j _ctx -> run_job j) todo
+    else Pool.sweep ?jobs ?batch_size ~key:job_key run_job todo
   in
   Array.iteri
     (fun i result ->

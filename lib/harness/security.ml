@@ -4,6 +4,8 @@
    class. *)
 
 module Exploit = Chex86_exploits.Exploit
+module Counter = Chex86_stats.Counter
+module Histogram = Chex86_stats.Histogram
 
 type result = {
   exploit : Exploit.t;
@@ -54,21 +56,23 @@ let outcome_bucket = function
   | Runner.Faulted _ -> "faulted"
   | Runner.Budget_exhausted -> "budget_exhausted"
 
-let tally_result (ctx : Pool.ctx) r =
-  let c = ctx.Pool.counters in
-  Chex86_stats.Counter.incr c "sweep.total";
-  if blocked r then Chex86_stats.Counter.incr c "sweep.blocked";
-  if blocked_as_expected r then Chex86_stats.Counter.incr c "sweep.expected_class";
-  if corruption_prevented r then Chex86_stats.Counter.incr c "sweep.prevented";
-  Chex86_stats.Counter.incr c
-    ("sweep.outcome." ^ outcome_bucket r.under_protection.Runner.outcome);
-  (match r.under_protection.Runner.outcome with
-  | Runner.Blocked kind ->
-    Chex86_stats.Counter.incr c ("sweep.class." ^ Chex86.Violation.class_name kind)
-  | _ -> ());
-  Chex86_stats.Histogram.add
-    (ctx.Pool.histogram "sweep.protected_macro_insns")
-    r.under_protection.Runner.macro_insns
+type tally = { counters : Counter.group; protected_macro_insns : Histogram.t }
+
+let tally results =
+  let c = Counter.create_group () and insns = Histogram.create () in
+  List.iter
+    (fun r ->
+      Counter.incr c "sweep.total";
+      if blocked r then Counter.incr c "sweep.blocked";
+      if blocked_as_expected r then Counter.incr c "sweep.expected_class";
+      if corruption_prevented r then Counter.incr c "sweep.prevented";
+      Counter.incr c ("sweep.outcome." ^ outcome_bucket r.under_protection.Runner.outcome);
+      (match r.under_protection.Runner.outcome with
+      | Runner.Blocked kind -> Counter.incr c ("sweep.class." ^ Chex86.Violation.class_name kind)
+      | _ -> ());
+      Histogram.add insns r.under_protection.Runner.macro_insns)
+    results;
+  { counters = c; protected_macro_insns = insns }
 
 (* Remote task kind: the wire carries the exploit's name and a
    marshalled config; the worker re-looks the exploit up in its own
@@ -79,67 +83,55 @@ let tally_result (ctx : Pool.ctx) r =
 let remote_kind = "security"
 
 let register_remote () =
-  Remote.register_kind remote_kind (fun ~key ~arg (ctx : Pool.ctx) ->
+  Remote.register_kind remote_kind (fun ~key ~arg ->
       let exploit = Chex86_exploits.Exploits.find key in
       let config : Runner.config = Marshal.from_string arg 0 in
       let r = evaluate ~config exploit in
-      tally_result ctx r;
       Marshal.to_string (r.insecure, r.under_protection) [])
 
 (* The 800+ exploits shard trivially: each evaluation builds its own two
-   guest programs and monitors.  Workers tally outcome counters and an
-   instruction-count histogram into per-task stats that Pool.sweep
-   merges in ascending exploit order, so the sweep is bit-identical at
-   any job count and batch size (modulo the [pool.chunks] dispatch
-   counter).  A crashing evaluation is classified and reported instead
-   of killing the sweep; its stats are discarded wholesale, so the
-   [sweep.*] counters only count completed evaluations (plus the
-   [pool.*] fault counters the supervisor adds).  With workers
-   configured ([--workers]) the sweep runs in worker processes instead
-   of domains — same results, but a worker that stops responding is
-   also killed at the heartbeat deadline. *)
+   guest programs and monitors, and results come back in exploit order,
+   so the sweep is bit-identical at any job count and batch size.  A
+   crashing evaluation is classified and reported instead of killing the
+   sweep.  The [sweep.*] tally is folded here, on the coordinator, over
+   the completed evaluations in exploit order.  With workers configured
+   ([--workers]) the sweep runs in worker processes instead of domains —
+   same results, but a worker that stops responding is also killed at
+   the heartbeat deadline. *)
 let sweep_stats_supervised ?config ?jobs ?batch_size exploits =
   Trace.with_span ~stage:"sweep"
     [ ("kind", "security"); ("tasks", string_of_int (List.length exploits)) ]
   @@ fun () ->
-  if Remote.enabled () then begin
-    register_remote ();
-    let config = Option.value ~default:Runner.prediction config in
-    let config_arg = Marshal.to_string config [] in
-    let results, stats, report =
-      Remote.sweep ?batch_size ~kind:remote_kind
-        ~key:(fun (e : Exploit.t) -> e.Exploit.name)
-        ~arg:(fun _ -> config_arg)
-        (Array.of_list exploits)
-    in
-    ignore jobs;
-    let results =
-      Array.to_list results
-      |> List.map2
-           (fun exploit outcome ->
-             ( exploit,
-               Result.map
-                 (fun payload ->
-                   let insecure, under_protection =
-                     (Marshal.from_string payload 0 : Runner.run * Runner.run)
-                   in
-                   { exploit; insecure; under_protection })
-                 outcome ))
-           exploits
-    in
-    (results, stats, report)
-  end
-  else
-    let results, stats, report =
-      Pool.sweep ?jobs ?batch_size
-        ~key:(fun (e : Exploit.t) -> e.Exploit.name)
-        (fun exploit (ctx : Pool.ctx) ->
-          let r = evaluate ?config exploit in
-          tally_result ctx r;
-          r)
-        (Array.of_list exploits)
-    in
-    (List.map2 (fun e r -> (e, r)) exploits (Array.to_list results), stats, report)
+  let key (e : Exploit.t) = e.Exploit.name in
+  let tasks = Array.of_list exploits in
+  let results, report =
+    if Remote.enabled () then begin
+      register_remote ();
+      ignore jobs;
+      let config_arg = Marshal.to_string (Option.value ~default:Runner.prediction config) [] in
+      let payloads, report =
+        Remote.sweep ?batch_size ~kind:remote_kind ~key ~arg:(fun _ -> config_arg) tasks
+      in
+      let decode i payload =
+        let insecure, under_protection =
+          (Marshal.from_string payload 0 : Runner.run * Runner.run)
+        in
+        { exploit = tasks.(i); insecure; under_protection }
+      in
+      (Array.mapi (fun i -> Result.map (decode i)) payloads, report)
+    end
+    else Pool.sweep ?jobs ?batch_size ~key (evaluate ?config) tasks
+  in
+  let slots = List.combine exploits (Array.to_list results) in
+  let t = tally (List.filter_map (fun (_, r) -> Result.to_option r) slots) in
+  (* The histogram is published only once a completed evaluation added
+     to it: an all-faulted sweep has no distribution to export. *)
+  if Trace.metrics_on () then
+    Trace.metrics_absorb
+      ( Counter.group_snapshot t.counters,
+        if Histogram.count t.protected_macro_insns = 0 then []
+        else [ ("sweep.protected_macro_insns", Histogram.snapshot t.protected_macro_insns) ] );
+  (slots, t, report)
 
 type suite_summary = {
   suite : Exploit.suite;

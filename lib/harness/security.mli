@@ -15,27 +15,36 @@ val evaluate : ?config:Runner.config -> Chex86_exploits.Exploit.t -> result
     routing. Idempotent. *)
 val register_remote : unit -> unit
 
+(** The [sweep.*] outcome counters of completed evaluations and the
+    distribution of their protected runs' macro-ops
+    ([sweep.protected_macro_insns] in [--metrics]). *)
+type tally = {
+  counters : Chex86_stats.Counter.group;
+  protected_macro_insns : Chex86_stats.Histogram.t;
+}
+
+(** Fold the completed evaluations, in list order, into a {!tally}. *)
+val tally : result list -> tally
+
 (** Evaluate every exploit, sharded over the domain pool by
     {!Pool.sweep} ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to
     the process-wide knob / auto-sizing). Result slots are in input
     order, each paired with its exploit, and bit-identical at any job
-    count and batch size. The merged stats carry outcome counters under
-    [sweep.*] and a [sweep.protected_macro_insns] histogram, plus the
-    [pool.*] counters ([pool.chunks] is the one that varies with the
-    batch geometry). A crashing evaluation yields an
-    [Error fault] slot instead of killing the sweep (its chunk-mates
-    still complete), and the [sweep.*] counters only count completed
-    evaluations. When workers are configured
-    ({!Remote.enabled}), the sweep is dispatched to worker processes
-    instead of domains ([?jobs] is ignored there); a worker lost to a
-    crash or heartbeat kill surfaces as a [Pool.Worker_lost] fault. *)
+    count and batch size. A crashing evaluation yields an [Error fault]
+    slot instead of killing the sweep (its chunk-mates still complete).
+    The middle part is the {!tally} of the completed evaluations,
+    folded on the calling domain in exploit order and published to
+    [--metrics]. When workers are configured ({!Remote.enabled}), the
+    sweep is dispatched to worker processes instead of domains ([?jobs]
+    is ignored there); a worker lost to a crash or heartbeat kill
+    surfaces as a [Pool.Worker_lost] fault. *)
 val sweep_stats_supervised :
   ?config:Runner.config ->
   ?jobs:int ->
   ?batch_size:int ->
   Chex86_exploits.Exploit.t list ->
   (Chex86_exploits.Exploit.t * (result, Pool.fault) Stdlib.result) list
-  * Pool.merged_stats
+  * tally
   * Pool.fault_report
 
 val blocked : result -> bool

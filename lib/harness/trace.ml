@@ -2,18 +2,19 @@
 
    Span events (begin/end pairs with monotonic timestamps, parent ids
    and key=value attrs) and instant events are written as buffered JSONL
-   to the [--trace] file; a merged counter/histogram snapshot goes to
-   the [--metrics] file as one JSON object at process exit.  Both are
+   to the [--trace] file; the counters and histograms the sweeps
+   published (fault-report counts, the security tally) go to the
+   [--metrics] file as one JSON object at process exit.  Both are
    off by default.
 
    Contract with the hot path: when tracing is off, an instrumented
    site costs exactly one branch ([on ()] reads one atomic bool) and
    performs no allocation — every call site guards with
    [if Trace.on () then ...] and only builds its attrs inside the
-   guard.  When tracing is on, emission never touches task state (RNG
-   streams, counter groups, histograms), so merged sweep stats are
-   bit-identical to an untraced run; test/test_trace.ml enforces this
-   across (jobs, batch) geometries.
+   guard.  When tracing is on, emission never touches task state, so a
+   sweep's results and fault report are bit-identical to an untraced
+   run; test/test_trace.ml enforces this across (jobs, batch)
+   geometries.
 
    Worker processes do not get their own trace file: the supervisor's
    [Remote] request carries a trace flag, the worker buffers its span
@@ -154,13 +155,8 @@ let close_sink () =
 
 let set_output = function
   | Some path ->
+    let oc = open_out path in
     install_exit_hook ();
-    let oc =
-      try open_out path
-      with Sys_error msg ->
-        Printf.eprintf "chex86-trace: cannot open %s (%s); tracing disabled\n%!" path msg;
-        raise Exit
-    in
     Mutex.protect lock (fun () ->
         close_sink ();
         sink := Some (File oc));
@@ -168,8 +164,6 @@ let set_output = function
   | None ->
     Mutex.protect lock (fun () -> close_sink ());
     Atomic.set active false
-
-let set_output p = try set_output p with Exit -> ()
 
 (* Worker collection mode.  A file sink configured explicitly (a worker
    started with its own --trace) wins over collection: its spans go to
@@ -201,6 +195,7 @@ let absorb_payload payload = if on () && payload <> "" then write_string payload
 
 let set_metrics = function
   | Some path ->
+    close_out (open_out path);
     install_exit_hook ();
     metrics_path := Some path;
     Atomic.set metrics_active true

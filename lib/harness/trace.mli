@@ -1,15 +1,16 @@
 (** Structured, low-overhead tracing and metrics for the sweep stack.
 
     Span and instant events are appended as JSONL to the file named by
-    {!set_output}; a merged counter/histogram snapshot is written to the
-    {!set_metrics} file as one JSON object at process exit.  Both are
+    {!set_output}; the counters and histograms the sweeps published are
+    written to the {!set_metrics} file as one JSON object at process
+    exit.  Both are
     off by default, and an instrumented site must cost exactly one
     branch when off: guard every emission with [if Trace.on () then
     ...] and build attrs only inside the guard.
 
-    Emission never touches sweep state (RNG streams, counters,
-    histograms), so traced and untraced runs produce bit-identical
-    merged stats; test/test_trace.ml enforces this.
+    Emission never touches task state, so traced and untraced sweeps
+    produce bit-identical results and fault reports; test/test_trace.ml
+    enforces this.
 
     This module sits below Pool/Remote/Runner/Security in the layering
     and references none of them. *)
@@ -23,8 +24,8 @@ val now : unit -> float
 
 (** [set_output (Some path)] opens [path] (truncating) as the trace
     sink and turns tracing on; [set_output None] flushes, closes and
-    turns it off.  An unopenable path prints a warning and leaves
-    tracing off. *)
+    turns it off.  Raises [Sys_error], leaving tracing as it was, when
+    [path] cannot be opened. *)
 val set_output : string option -> unit
 
 (** Tag for the ["src"] field of every event: ["main"] by default,
@@ -79,17 +80,19 @@ val absorb_payload : string -> unit
 
 (** {1 Metrics} *)
 
-(** [set_metrics (Some path)] arranges for the accumulated metrics to
-    be written to [path] as JSON at process exit (or on an explicit
-    {!write_metrics}). *)
+(** [set_metrics (Some path)] creates (truncating) [path] now and
+    arranges for the accumulated metrics to be written to it as JSON at
+    process exit (or on an explicit {!write_metrics}).  Raises
+    [Sys_error], leaving metrics as they were, when [path] cannot be
+    opened. *)
 val set_metrics : string option -> unit
 
 (** Whether a metrics destination is set — guard for
     {!metrics_absorb} call sites. *)
 val metrics_on : unit -> bool
 
-(** Fold one sweep's merged counter snapshot and named histogram
-    snapshots into the process-wide accumulator. *)
+(** Fold one sweep's counter snapshot and named histogram snapshots
+    into the process-wide accumulator. *)
 val metrics_absorb :
   Chex86_stats.Counter.snapshot
   * (string * Chex86_stats.Histogram.snapshot) list ->

@@ -81,12 +81,11 @@ let to_list group =
 
 (* --- snapshots ------------------------------------------------------------ *)
 
-(* An immutable, name-sorted view of a group.  Snapshots cross domain
-   boundaries in the parallel sweep engine: each worker accumulates into a
-   private group, snapshots it, and the coordinator merges the snapshots
-   in task-key order.  Because [merge] is pointwise addition over a sorted
-   namespace it is associative and commutative with [empty_snapshot] as
-   identity, so the merged totals never depend on scheduling order. *)
+(* An immutable, name-sorted view of a group.  The --metrics accumulator
+   merges one snapshot per sweep.  Because [merge] is pointwise addition
+   over a sorted namespace it is associative and commutative with
+   [empty_snapshot] as identity, so the merged totals never depend on the
+   order the sweeps published in. *)
 type snapshot = (string * int) list
 
 let empty_snapshot : snapshot = []
@@ -103,13 +102,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
       else (na, va + vb) :: go ta tb
   in
   go a b
-
-let absorb group (s : snapshot) = List.iter (fun (name, v) -> incr ~by:v group name) s
-
-let of_snapshot (s : snapshot) =
-  let group = create_group () in
-  absorb group s;
-  group
 
 let json_of_snapshot (s : snapshot) : Json.t =
   Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) s)

@@ -46,19 +46,13 @@ val to_list : group -> (string * int) list
 
 (** An immutable, name-sorted view of a group, safe to pass between
     domains. [merge] is pointwise addition: associative, commutative,
-    with [empty_snapshot] as identity, so parallel workers' private
-    groups can be combined independent of scheduling order. *)
+    with [empty_snapshot] as identity, so snapshots combine
+    independent of the order they arrive in. *)
 type snapshot
 
 val empty_snapshot : snapshot
 val group_snapshot : group -> snapshot
 val merge : snapshot -> snapshot -> snapshot
-
-(** [absorb g s] adds every counter of [s] into [g]. *)
-val absorb : group -> snapshot -> unit
-
-(** A fresh group holding exactly the snapshot's counters. *)
-val of_snapshot : snapshot -> group
 
 val snapshot_to_list : snapshot -> (string * int) list
 

@@ -19,8 +19,8 @@ let create () =
 let add ?(weight = 1) hist value =
   (* A zero weight would still insert a bucket and widen min/max; a
      negative one would decrement count/sum while min/max kept
-     widening — both corrupt the summary stats, so reject them loudly
-     (add_snapshot's silent-drop guard filters its input instead). *)
+     widening — both corrupt the summary stats, so reject them
+     loudly. *)
   if weight <= 0 then
     invalid_arg (Printf.sprintf "Histogram.add: weight %d <= 0" weight);
   (match Hashtbl.find_opt hist.buckets value with
@@ -73,9 +73,9 @@ let fold f init hist = List.fold_left (fun acc (v, n) -> f acc v n) init (sorted
 
 (* Immutable value-sorted view, safe to hand between domains.  [merge]
    adds bucket weights pointwise, so it is associative and commutative
-   with [empty_snapshot] as identity; the parallel sweep coordinator
-   merges worker snapshots in task-key order and the result is identical
-   to sequential accumulation. *)
+   with [empty_snapshot] as identity, and the result is identical to
+   sequential accumulation; the --metrics accumulator merges one
+   snapshot per sweep. *)
 type snapshot = (int * int) list
 
 let empty_snapshot : snapshot = []
@@ -92,14 +92,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
       else (va, na + nb) :: go ta tb
   in
   go a b
-
-let add_snapshot hist (s : snapshot) =
-  List.iter (fun (value, weight) -> if weight > 0 then add ~weight hist value) s
-
-let of_snapshot (s : snapshot) =
-  let hist = create () in
-  add_snapshot hist s;
-  hist
 
 let json_of_snapshot (s : snapshot) : Json.t =
   Json.Obj

@@ -43,12 +43,6 @@ val empty_snapshot : snapshot
 val snapshot : t -> snapshot
 val merge : snapshot -> snapshot -> snapshot
 
-(** [add_snapshot h s] records every bucket of [s] into [h]. *)
-val add_snapshot : t -> snapshot -> unit
-
-(** A fresh histogram holding exactly the snapshot's buckets. *)
-val of_snapshot : snapshot -> t
-
 val snapshot_to_list : snapshot -> (int * int) list
 
 (** [{"n": total weight, "buckets": [[value, weight], ...]}], buckets in

@@ -217,8 +217,8 @@ let test_race_fresh_use_completes () =
 
 (* --- heap-abort accounting (regression) ------------------------------------ *)
 
-let counter_of (stats : Chex86_harness.Pool.merged_stats) name =
-  Chex86_stats.Counter.get stats.Chex86_harness.Pool.counters name
+let counter_of (tally : Security.tally) name =
+  Chex86_stats.Counter.get tally.Security.counters name
 
 let test_sweep_counts_heap_abort_separately () =
   (* A campaign stopped by the allocator must land in
@@ -227,10 +227,10 @@ let test_sweep_counts_heap_abort_separately () =
   let aborts = temporal Campaign.Double_free ~size:24 ~reuse:0 ~offset:0 in
   let detected = temporal Campaign.Uaf_read ~size:24 ~reuse:0 ~offset:0 in
   let exploits = List.map Campaign.to_exploit [ aborts; detected ] in
-  let _results, stats, _ =
+  let _results, tally, _ =
     Security.sweep_stats_supervised ~config:Runner.insecure ~jobs:1 exploits
   in
-  let get = counter_of stats in
+  let get = counter_of tally in
   Alcotest.(check int) "two evaluations" 2 (get "sweep.total");
   Alcotest.(check int) "heap abort counted separately" 1 (get "sweep.outcome.heap_abort");
   Alcotest.(check int) "no violations under the insecure config" 0
@@ -238,10 +238,10 @@ let test_sweep_counts_heap_abort_separately () =
   Alcotest.(check int) "nothing blocked" 0 (get "sweep.blocked");
   Alcotest.(check int) "the UAF completes insecurely" 1 (get "sweep.outcome.completed");
   (* and under protection the same pair is all violations, no aborts *)
-  let _results, stats, _ = Security.sweep_stats_supervised ~jobs:1 exploits in
-  Alcotest.(check int) "both detected" 2 (counter_of stats "sweep.outcome.violation");
+  let _results, tally, _ = Security.sweep_stats_supervised ~jobs:1 exploits in
+  Alcotest.(check int) "both detected" 2 (counter_of tally "sweep.outcome.violation");
   Alcotest.(check int) "allocator never reached" 0
-    (counter_of stats "sweep.outcome.heap_abort")
+    (counter_of tally "sweep.outcome.heap_abort")
 
 (* --- qcheck shrinking ------------------------------------------------------ *)
 

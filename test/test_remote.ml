@@ -6,14 +6,13 @@
    in-process pool.
 
    The baseline for every comparison is the selftest kind's body run
-   through [Pool.sweep ~jobs:1]: the exact task/ctx path the worker
-   uses, minus the transport. *)
+   through [Pool.sweep ~jobs:1]: the exact task path the worker uses,
+   minus the transport.  Results and fault reports are compared; a
+   report's [chunks] and [transport] record scheduling, not results. *)
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
 module Faultinject = Chex86_harness.Faultinject
-module Counter = Chex86_stats.Counter
-module Histogram = Chex86_stats.Histogram
 
 let with_plan plan f =
   Faultinject.arm plan;
@@ -29,59 +28,43 @@ let arg_of _ = "8"
 
 let serial_baseline ?(arg = arg_of) tasks =
   Pool.sweep ~jobs:1 ~batch_size:1 ~key:Fun.id
-    (fun key ctx -> selftest_fn ~key ~arg:(arg key) ctx)
+    (fun key -> selftest_fn ~key ~arg:(arg key))
     tasks
 
-(* [pool.chunks] and the [remote.*] counters record dispatch/transport
-   behaviour — the documented scheduling-dependent set; everything else
-   must match bit for bit. *)
-let comparable counters =
-  Counter.to_list counters
-  |> List.filter (fun (name, _) ->
-         name <> "pool.chunks"
-         && not (String.length name >= 7 && String.sub name 0 7 = "remote."))
+(* A report minus [chunks] and [transport], with [worker_losses] left
+   out too: a loss event a re-dispatch recovered from is transport
+   behaviour, checked on its own where a test provokes one. *)
+let report_shape (r : Pool.fault_report) =
+  ( (r.tasks, r.ok, r.crashed, r.worker_lost),
+    List.map
+      (fun (f : Pool.task_fault) -> (f.index, f.key, Pool.fault_to_string f.fault))
+      r.task_faults )
 
-let hists_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (na, ha) (nb, hb) ->
-         na = nb
-         && Histogram.snapshot_to_list (Histogram.snapshot ha)
-            = Histogram.snapshot_to_list (Histogram.snapshot hb))
-       a b
+let transport_counter (r : Pool.fault_report) name =
+  Option.value ~default:(-1) (List.assoc_opt name r.Pool.transport)
 
-let check_matches_serial label (sstats : Pool.merged_stats)
-    (rstats : Pool.merged_stats) sresults rresults =
+let opaque results = Array.map (Result.map_error (fun _ -> ())) results
+
+let check_matches_serial label (sresults, sreport) (rresults, rreport) =
   Alcotest.(check (array (result string reject)))
-    (label ^ ": results") sresults rresults;
-  Alcotest.(check (list (pair string int)))
-    (label ^ ": merged counters")
-    (comparable sstats.Pool.counters)
-    (comparable rstats.Pool.counters);
-  Alcotest.(check bool) (label ^ ": merged histograms") true
-    (hists_equal sstats.Pool.histograms rstats.Pool.histograms)
-
-let remote_results_as_opaque results =
-  Array.map (fun r -> Result.map_error (fun _ -> ()) r) results
+    (label ^ ": results") (opaque sresults) (opaque rresults);
+  Alcotest.(check bool) (label ^ ": reports") true
+    (report_shape sreport = report_shape rreport)
 
 (* --- spawn-mode bit-identity ---------------------------------------------- *)
 
 let test_remote_matches_serial () =
   let tasks = tasks_n 9 in
-  let sresults, sstats, _ = serial_baseline tasks in
-  let rresults, rstats, report =
+  let serial = serial_baseline tasks in
+  let ((_, report) as remote) =
     Remote.sweep ~spec:(Remote.Spawn 2) ~batch_size:2 ~kind:Remote.selftest_kind
       ~key:Fun.id ~arg:arg_of tasks
   in
   Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
   Alcotest.(check int) "no losses" 0 report.Pool.worker_losses;
-  Alcotest.(check int) "not degraded" 0
-    (Counter.get rstats.Pool.counters "remote.degraded");
-  Alcotest.(check int) "workers recorded" 2
-    (Counter.get rstats.Pool.counters "remote.workers");
-  check_matches_serial "spawn2/batch2" sstats rstats
-    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
-    (remote_results_as_opaque rresults)
+  Alcotest.(check int) "not degraded" 0 (transport_counter report "remote.degraded");
+  Alcotest.(check int) "workers recorded" 2 (transport_counter report "remote.workers");
+  check_matches_serial "spawn2/batch2" serial remote
 
 (* Any geometry: workers in 1..3, batch in 1..5, always equal to serial. *)
 let prop_geometry_invariance =
@@ -89,32 +72,31 @@ let prop_geometry_invariance =
     QCheck.(pair (int_range 1 3) (int_range 1 5))
     (fun (workers, batch) ->
       let tasks = tasks_n 7 in
-      let sresults, sstats, _ = serial_baseline tasks in
-      let rresults, rstats, report =
+      let sresults, sreport = serial_baseline tasks in
+      let rresults, rreport =
         Remote.sweep ~spec:(Remote.Spawn workers) ~batch_size:batch
           ~kind:Remote.selftest_kind ~key:Fun.id ~arg:arg_of tasks
       in
-      (List.length report.Pool.task_faults) = 0
-      && remote_results_as_opaque rresults
-         = Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults
-      && comparable rstats.Pool.counters = comparable sstats.Pool.counters
-      && hists_equal sstats.Pool.histograms rstats.Pool.histograms)
+      List.length rreport.Pool.task_faults = 0
+      && rreport.Pool.worker_losses = 0
+      && opaque rresults = opaque sresults
+      && report_shape rreport = report_shape sreport)
 
 (* --- worker loss ----------------------------------------------------------- *)
 
 (* SIGKILL mid-chunk on the first dispatch: the lost worker's streamed
-   results are kept, only the unfinished tasks are re-dispatched, the
-   re-run seeds each task from its key — so the final stats are byte-identical
-   to a run with no kill at all.  Exactly one loss event is reported and
+   results are kept, only the unfinished tasks are re-dispatched, and a
+   task's result depends on its key alone — so the final results are
+   byte-identical to a run with no kill at all.  Exactly one loss event is reported and
    no task ends up faulted.  The loss must show as EOF at once, well
    inside the default 30 s heartbeat: a sibling worker that inherited
    the dead worker's socket would hide the EOF until the heartbeat. *)
 let test_worker_kill_recovers_bit_identical () =
   let tasks = tasks_n 8 in
-  let sresults, sstats, _ = serial_baseline tasks in
+  let serial = serial_baseline tasks in
   let plan = Faultinject.of_list [ ("task-3", Faultinject.kill_worker ()) ] in
   let t0 = Pool.now () in
-  let rresults, rstats, report =
+  let ((_, report) as remote) =
     with_plan plan (fun () ->
         Remote.sweep ~spec:(Remote.Spawn 2) ~batch_size:4 ~kind:Remote.selftest_kind
           ~key:Fun.id ~arg:arg_of tasks)
@@ -125,10 +107,8 @@ let test_worker_kill_recovers_bit_identical () =
   Alcotest.(check int) "no task faulted" 0 (List.length report.Pool.task_faults);
   Alcotest.(check int) "no Worker_lost task" 0 report.Pool.worker_lost;
   Alcotest.(check bool) "tasks were re-dispatched" true
-    (Counter.get rstats.Pool.counters "remote.redispatched_tasks" >= 1);
-  check_matches_serial "after innocent kill" sstats rstats
-    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
-    (remote_results_as_opaque rresults)
+    (transport_counter report "remote.redispatched_tasks" >= 1);
+  check_matches_serial "after innocent kill" serial remote
 
 (* A worker that stops responding — here it stops itself with SIGSTOP,
    beater thread included — cannot be contained in-process.  The
@@ -137,7 +117,7 @@ let test_worker_kill_recovers_bit_identical () =
 let test_wedged_worker_killed_at_heartbeat () =
   let tasks = [| "wedge-0"; "task-1"; "task-2" |] in
   let t0 = Pool.now () in
-  let rresults, _rstats, report =
+  let rresults, report =
     Remote.sweep ~spec:(Remote.Spawn 1) ~batch_size:1 ~heartbeat:0.5
       ~task_loss_budget:0 ~kind:Remote.selftest_kind ~key:Fun.id ~arg:arg_of tasks
   in
@@ -155,44 +135,40 @@ let test_wedged_worker_killed_at_heartbeat () =
 
 (* A healthy task may run far longer than one heartbeat: the worker's
    beater thread keeps beating while the task spins 2 s without ever
-   allocating.  Nothing is lost, and results and stats match the serial
-   run. *)
+   allocating.  Nothing is lost, and results and the report match the
+   serial run. *)
 let test_long_task_outlives_heartbeat () =
   let tasks = [| "long-0"; "task-1"; "task-2" |] in
   let arg key = if String.starts_with ~prefix:"long" key then "2" else arg_of key in
-  let sresults, sstats, _ = serial_baseline ~arg tasks in
-  let rresults, rstats, report =
+  let serial = serial_baseline ~arg tasks in
+  let ((_, report) as remote) =
     Remote.sweep ~spec:(Remote.Spawn 1) ~batch_size:1 ~heartbeat:0.4
       ~kind:Remote.selftest_kind ~key:Fun.id ~arg tasks
   in
   Alcotest.(check int) "no worker loss" 0 report.Pool.worker_losses;
   Alcotest.(check int) "no task faulted" 0 (List.length report.Pool.task_faults);
-  check_matches_serial "long task" sstats rstats
-    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
-    (remote_results_as_opaque rresults)
+  check_matches_serial "long task" serial remote
 
 (* --- transport faults ------------------------------------------------------ *)
 
 let transport_case directive label extra_checks =
   let tasks = tasks_n 6 in
-  let sresults, sstats, _ = serial_baseline tasks in
+  let serial = serial_baseline tasks in
   let plan = Faultinject.of_list [ ("task-0", directive) ] in
-  let rresults, rstats, report =
+  let ((_, report) as remote) =
     with_plan plan (fun () ->
         Remote.sweep ~spec:(Remote.Spawn 2) ~batch_size:3 ~heartbeat:0.5
           ~kind:Remote.selftest_kind ~key:Fun.id ~arg:arg_of tasks)
   in
   Alcotest.(check int) (label ^ ": no task faulted") 0 (List.length report.Pool.task_faults);
-  check_matches_serial label sstats rstats
-    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
-    (remote_results_as_opaque rresults);
-  extra_checks rstats report
+  check_matches_serial label serial remote;
+  extra_checks report
 
 let test_dropped_frame_recovered () =
   transport_case
     (Faultinject.drop_frame ())
     "drop_frame"
-    (fun _rstats report ->
+    (fun report ->
       Alcotest.(check int) "heartbeat killed the starved worker" 1
         report.Pool.worker_losses)
 
@@ -200,32 +176,29 @@ let test_corrupt_frame_rejected_and_resent () =
   transport_case
     (Faultinject.corrupt_frame ())
     "corrupt_frame"
-    (fun rstats _report ->
+    (fun report ->
       Alcotest.(check bool) "worker rejected the frame" true
-        (Counter.get rstats.Pool.counters "remote.frame_errors" >= 1))
+        (transport_counter report "remote.frame_errors" >= 1))
 
 let test_delayed_frame_tolerated () =
-  transport_case (Faultinject.delay_frame 0.2) "delay_frame" (fun _ _ -> ())
+  transport_case (Faultinject.delay_frame 0.2) "delay_frame" (fun _ -> ())
 
 (* --- degradation ----------------------------------------------------------- *)
 
 let test_degrades_without_worker_exe () =
   let tasks = tasks_n 6 in
-  let sresults, sstats, _ = serial_baseline tasks in
+  let serial = serial_baseline tasks in
   Unix.putenv "CHEX86_WORKER_EXE" "/nonexistent/chex86_worker.exe";
-  let rresults, rstats, report =
+  let ((_, report) as remote) =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "CHEX86_WORKER_EXE" "")
       (fun () ->
         Remote.sweep ~spec:(Remote.Spawn 2) ~batch_size:2 ~kind:Remote.selftest_kind
           ~key:Fun.id ~arg:arg_of tasks)
   in
-  Alcotest.(check int) "degraded flag" 1
-    (Counter.get rstats.Pool.counters "remote.degraded");
+  Alcotest.(check int) "degraded flag" 1 (transport_counter report "remote.degraded");
   Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
-  check_matches_serial "degraded" sstats rstats
-    (Array.map (fun r -> Result.map_error (fun _ -> ()) r) sresults)
-    (remote_results_as_opaque rresults)
+  check_matches_serial "degraded" serial remote
 
 (* --- knob validation --------------------------------------------------------- *)
 
@@ -259,18 +232,20 @@ let test_rejects_nonpositive_heartbeat () =
 let test_security_sweep_remote_matches_local () =
   let subset = List.filteri (fun i _ -> i mod 97 = 0) Chex86_exploits.Exploits.all in
   Alcotest.(check bool) "subset non-trivial" true (List.length subset >= 5);
-  let local, lstats, _ = Chex86_harness.Security.sweep_stats_supervised ~jobs:1 subset in
+  let local, ltally, lreport = Chex86_harness.Security.sweep_stats_supervised ~jobs:1 subset in
   Remote.set_spec (Remote.Spawn 2);
-  let remote, rstats, report =
+  let remote, rtally, report =
     Fun.protect
       ~finally:(fun () -> Remote.set_spec Remote.Off)
       (fun () -> Chex86_harness.Security.sweep_stats_supervised ~batch_size:2 subset)
   in
   Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
-  Alcotest.(check (list (pair string int)))
-    "sweep counters identical"
-    (comparable lstats.Pool.counters)
-    (comparable rstats.Pool.counters);
+  Alcotest.(check bool) "reports identical" true (report_shape lreport = report_shape report);
+  let tally_shape (t : Chex86_harness.Security.tally) =
+    ( Chex86_stats.Counter.to_list t.Chex86_harness.Security.counters,
+      Chex86_stats.Histogram.sorted t.Chex86_harness.Security.protected_macro_insns )
+  in
+  Alcotest.(check bool) "sweep tallies identical" true (tally_shape ltally = tally_shape rtally);
   List.iter2
     (fun (le, lr) (re_, rr) ->
       Alcotest.(check string) "exploit order"

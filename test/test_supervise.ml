@@ -7,6 +7,7 @@
 module Pool = Chex86_harness.Pool
 module Faultinject = Chex86_harness.Faultinject
 module Runner = Chex86_harness.Runner
+module Security = Chex86_harness.Security
 module Counter = Chex86_stats.Counter
 module W = Chex86_workloads.Workloads
 
@@ -31,7 +32,7 @@ let key_of = string_of_int
 (* --- supervision basics --------------------------------------------------- *)
 
 let test_all_ok () =
-  let results, _, report = Pool.sweep ~jobs:3 ~key:key_of (fun x _ -> x * x) tasks_10 in
+  let results, report = Pool.sweep ~jobs:3 ~key:key_of (fun x -> x * x) tasks_10 in
   Array.iteri
     (fun i r -> Alcotest.(check (result int reject)) "squared" (Ok (i * i)) r)
     results;
@@ -42,9 +43,9 @@ let test_all_ok () =
 let test_real_crash_contained () =
   (* A genuine task exception (not injected) is classified with its
      backtrace, and every healthy task still returns. *)
-  let results, _, report =
+  let results, report =
     Pool.sweep ~jobs:4 ~key:key_of
-      (fun x _ -> if x = 6 then failwith "boom" else x + 1)
+      (fun x -> if x = 6 then failwith "boom" else x + 1)
       tasks_10
   in
   Array.iteri
@@ -67,8 +68,8 @@ let test_injected_faults_match_plan () =
     Faultinject.of_list
       [ ("2", Faultinject.crash ()); ("5", Faultinject.crash ()); ("8", Faultinject.crash ()) ]
   in
-  let results, _, report =
-    with_plan plan (fun () -> Pool.sweep ~jobs:4 ~key:key_of (fun x _ -> x * 10) tasks_10)
+  let results, report =
+    with_plan plan (fun () -> Pool.sweep ~jobs:4 ~key:key_of (fun x -> x * 10) tasks_10)
   in
   Array.iteri
     (fun i r ->
@@ -94,7 +95,7 @@ let test_supervised_jobs_invariance () =
   in
   let run jobs =
     with_plan plan (fun () ->
-        let results, _, report = Pool.sweep ~jobs ~key:key_of (fun x _ -> x * 2) tasks_10 in
+        let results, report = Pool.sweep ~jobs ~key:key_of (fun x -> x * 2) tasks_10 in
         (Array.map (Result.map_error fault_shape) results, report_shape report))
   in
   let serial = run 1 in
@@ -126,77 +127,34 @@ let test_seeded_plan_deterministic () =
 
 (* --- supervised stats ----------------------------------------------------- *)
 
-let test_stats_discard_faulted () =
-  (* Each completed task bumps a counter; a faulted attempt's partial
-     stats must be discarded wholesale, and the pool.* fault counters
-     land in the merged group. *)
-  let body x (ctx : Pool.ctx) =
-    Counter.incr ctx.Pool.counters "t.count";
-    Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    (* an injected crash fires before the body, so partial-stats
-       discard is exercised by the *real* exception below *)
-    if x = 4 then failwith "late crash after stats were touched";
-    x
-  in
-  let results, stats, report =
-    Pool.sweep ~jobs:3 ~key:key_of body tasks_10
-  in
-  Alcotest.(check int) "one crash" 1 report.Pool.crashed;
-  (match results.(4) with
-  | Error (Pool.Crashed _) -> ()
-  | _ -> Alcotest.fail "task 4 should have crashed");
-  Alcotest.(check int) "faulted task's counter discarded" 9
-    (Counter.get stats.Pool.counters "t.count");
-  Alcotest.(check int) "faulted task's sum discarded" (45 - 4)
-    (Counter.get stats.Pool.counters "t.sum");
-  Alcotest.(check int) "pool.tasks" 10 (Counter.get stats.Pool.counters "pool.tasks");
-  Alcotest.(check int) "pool.ok" 9 (Counter.get stats.Pool.counters "pool.ok");
-  Alcotest.(check int) "pool.crashed" 1 (Counter.get stats.Pool.counters "pool.crashed")
+let tally_shape (t : Security.tally) =
+  ( Counter.to_list t.Security.counters,
+    Chex86_stats.Histogram.sorted t.Security.protected_macro_insns )
 
 let test_stats_supervised_matches_plain_when_healthy () =
-  (* With no plan armed, the supervised merge equals a plain serial fold
-     of per-task contexts, plus the pool.* counters. *)
-  let body x (ctx : Pool.ctx) =
-    Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    Chex86_stats.Histogram.add (ctx.Pool.histogram "t.h") x;
-    x
-  in
-  let plain =
-    Pool.merge_snapshots
-      (Array.to_list
-         (Array.map
-            (fun x ->
-              let ctx, snapshots = Pool.make_ctx (key_of x) in
-              ignore (body x ctx);
-              snapshots ())
-            tasks_10))
-  in
-  let _, supervised, _ = Pool.sweep ~jobs:2 ~key:key_of body tasks_10 in
-  Alcotest.(check int) "t.sum equal" (Counter.get plain.Pool.counters "t.sum")
-    (Counter.get supervised.Pool.counters "t.sum");
-  let h stats =
-    match List.assoc_opt "t.h" stats.Pool.histograms with
-    | Some h -> (Chex86_stats.Histogram.count h, Chex86_stats.Histogram.max_value h)
-    | None -> (0, 0)
-  in
-  Alcotest.(check (pair int int)) "t.h equal" (h plain) (h supervised);
-  Alcotest.(check int) "pool.ok present" 10
-    (Counter.get supervised.Pool.counters "pool.ok")
+  (* With no plan armed, the supervised sweep's tally equals a plain
+     serial fold of the same evaluations, and its report counts every
+     task ok. *)
+  let exploits = List.filteri (fun i _ -> i mod 61 = 0) Chex86_exploits.Exploits.all in
+  let plain = Security.tally (List.map (fun e -> Security.evaluate e) exploits) in
+  let _, supervised, report = Security.sweep_stats_supervised ~jobs:2 exploits in
+  Alcotest.(check (list (pair string int))) "sweep.* counters equal"
+    (fst (tally_shape plain)) (fst (tally_shape supervised));
+  Alcotest.(check (list (pair int int))) "macro-op histogram equal"
+    (snd (tally_shape plain)) (snd (tally_shape supervised));
+  Alcotest.(check int) "every task ok" (List.length exploits) report.Pool.ok
 
 (* --- batched supervision --------------------------------------------------- *)
-
-let drop_chunks counters =
-  List.filter (fun (name, _) -> name <> "pool.chunks") counters
 
 let test_batched_mid_chunk_crash_isolated () =
   (* Ten tasks in chunks of five; the plan crashes key "7" (mid second
      chunk). Exactly that task faults — its chunk-mates 5,6,8,9 and the
      whole first chunk complete, and the report is keyed per task. *)
   let plan = Faultinject.of_list [ ("7", Faultinject.crash ()) ] in
-  let results, _, report =
+  let results, report =
     with_plan plan (fun () ->
         Pool.sweep ~jobs:2 ~batch_size:5 ~key:key_of
-          (fun x _ -> x * 11)
+          (fun x -> x * 11)
           tasks_10)
   in
   Array.iteri
@@ -217,23 +175,16 @@ let test_batched_mid_chunk_crash_isolated () =
        report.Pool.task_faults)
 
 let test_batched_supervised_matches_unbatched () =
-  (* Same plan at several batch sizes: results, merged stats (minus
-     pool.chunks) and the report all equal the serial unbatched run. *)
+  (* Same plan at several batch sizes: results and the report (minus
+     its chunks) equal the serial unbatched run. *)
   let plan =
     Faultinject.of_list [ ("2", Faultinject.crash ()); ("6", Faultinject.crash ()) ]
   in
-  let body x (ctx : Pool.ctx) =
-    Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    Chex86_stats.Histogram.add (ctx.Pool.histogram "t.h") x;
-    x + Chex86_stats.Rng.int ctx.Pool.rng 100
+  let body x =
+    x + Chex86_stats.Rng.int (Chex86_stats.Rng.create (Pool.seed_of_key (key_of x))) 100
   in
-  let shape (results, (stats : Pool.merged_stats), report) =
-    ( Array.map (Result.map_error fault_shape) results,
-      drop_chunks (Counter.to_list stats.Pool.counters),
-      List.map
-        (fun (name, h) -> (name, Chex86_stats.Histogram.sorted h))
-        stats.Pool.histograms,
-      report_shape report )
+  let shape (results, report) =
+    (Array.map (Result.map_error fault_shape) results, report_shape report)
   in
   let unbatched =
     with_plan plan (fun () ->
@@ -259,9 +210,8 @@ let test_security_sweep_supervised_degrades () =
   in
   let victim = (List.nth exploits 2).Chex86_exploits.Exploit.name in
   let plan = Faultinject.of_list [ (victim, Faultinject.crash ()) ] in
-  let slots, stats, report =
-    with_plan plan (fun () ->
-        Chex86_harness.Security.sweep_stats_supervised ~jobs:2 exploits)
+  let slots, tally, report =
+    with_plan plan (fun () -> Security.sweep_stats_supervised ~jobs:2 exploits)
   in
   Alcotest.(check int) "one fault" 1 report.Pool.crashed;
   List.iteri
@@ -272,10 +222,12 @@ let test_security_sweep_supervised_degrades () =
         Alcotest.(check int) "at the planned slot" 2 i
       | Ok result ->
         Alcotest.(check bool) "healthy evaluations complete" true
-          (result.Chex86_harness.Security.exploit.Chex86_exploits.Exploit.name = e.name))
+          (result.Security.exploit.Chex86_exploits.Exploit.name = e.name))
     slots;
   Alcotest.(check int) "sweep.total counts completed only" 5
-    (Counter.get stats.Pool.counters "sweep.total")
+    (Counter.get tally.Security.counters "sweep.total");
+  Alcotest.(check int) "the macro-op histogram too" 5
+    (Chex86_stats.Histogram.count tally.Security.protected_macro_insns)
 
 (* --- on-disk result store -------------------------------------------------- *)
 
@@ -542,7 +494,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "faulted stats discarded" `Quick test_stats_discard_faulted;
           Alcotest.test_case "healthy merge matches plain" `Quick
             test_stats_supervised_matches_plain_when_healthy;
         ] );

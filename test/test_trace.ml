@@ -1,17 +1,20 @@
 (* Tests for the structured tracing/metrics layer (Chex86_harness.Trace).
 
-   The load-bearing property is NO PERTURBATION: a traced sweep's merged
-   stats must be bit-identical to the untraced run at the same (jobs,
-   batch) geometry — tracing observes the sweep, it never participates
-   in it.  On top of that: the emitted JSONL must be well-formed (every
-   line parses, every end has a matching begin, parents close after
-   children — [Trace.summarize_file] validates all three), worker span
-   streams must stitch into the supervisor's file over the socket path,
-   and the --metrics accumulator must dump the merged totals. *)
+   The load-bearing property is NO PERTURBATION: a traced sweep's
+   results and fault report must be bit-identical to the untraced run at
+   the same (jobs, batch) geometry — tracing observes the sweep, it
+   never participates in it.  On top of that: the emitted JSONL must be
+   well-formed (every line parses, every end has a matching begin,
+   parents close after children — [Trace.summarize_file] validates all
+   three), worker span streams must stitch into the supervisor's file
+   over the socket path, the --metrics accumulator must dump the fault
+   reports' counts and the security tally, and an unopenable --trace or
+   --metrics file must stop the run. *)
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
 module Runner = Chex86_harness.Runner
+module Security = Chex86_harness.Security
 module Trace = Chex86_harness.Trace
 module Faultinject = Chex86_harness.Faultinject
 module Counter = Chex86_stats.Counter
@@ -26,9 +29,15 @@ let selftest_fn =
 let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 
 let sweep ~jobs ~batch_size tasks =
-  Pool.sweep ~jobs ~batch_size ~key:Fun.id
-    (fun key ctx -> selftest_fn ~key ~arg:"8" ctx)
-    tasks
+  Pool.sweep ~jobs ~batch_size ~key:Fun.id (fun key -> selftest_fn ~key ~arg:"8") tasks
+
+(* A report minus [chunks] and [transport], which record scheduling,
+   with backtraces dropped. *)
+let report_shape (r : Pool.fault_report) =
+  ( (r.tasks, r.ok, r.crashed, r.worker_lost, r.worker_losses),
+    List.map
+      (fun (f : Pool.task_fault) -> (f.index, f.key, Pool.fault_to_string f.fault))
+      r.task_faults )
 
 let with_trace_file f =
   let path = Filename.temp_file "chex86_trace" ".jsonl" in
@@ -50,18 +59,11 @@ let read_lines path =
       in
       go [])
 
-let counters_list (s : Pool.merged_stats) = Counter.to_list s.Pool.counters
-
 (* Naive substring search; the test stanza has no dependency on Str. *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
-
-let hists_list (s : Pool.merged_stats) =
-  List.map
-    (fun (n, h) -> (n, Histogram.snapshot_to_list (Histogram.snapshot h)))
-    s.Pool.histograms
 
 (* --- off by default -------------------------------------------------------- *)
 
@@ -76,27 +78,31 @@ let test_off_by_default () =
 (* --- no perturbation: traced == untraced, bit for bit ---------------------- *)
 
 (* Same geometry with and without tracing: everything must match,
-   including the scheduling-dependent [pool.chunks] (the geometry is
-   identical, only the observer differs). *)
+   including the scheduling-dependent [chunks] (the geometry is
+   identical, only the observer differs); and across geometries,
+   everything but [chunks]. *)
 let prop_traced_untraced_identical =
+  let tasks = tasks_n 9 in
+  Trace.set_output None;
+  let serial, sreport = sweep ~jobs:1 ~batch_size:1 tasks in
   QCheck.Test.make ~count:8 ~name:"traced sweep bit-identical to untraced"
     QCheck.(pair (int_range 1 3) (int_range 1 5))
     (fun (jobs, batch_size) ->
-      let tasks = tasks_n 9 in
       Trace.set_output None;
-      let ur, ustats, _ = sweep ~jobs ~batch_size tasks in
-      let tr, tstats =
+      let ur, ureport = sweep ~jobs ~batch_size tasks in
+      let tr, treport =
         with_trace_file (fun path ->
             Trace.set_output (Some path);
-            let tr, tstats, _ = sweep ~jobs ~batch_size tasks in
-            (tr, tstats))
+            sweep ~jobs ~batch_size tasks)
       in
       ur = tr
-      && counters_list ustats = counters_list tstats
-      && hists_list ustats = hists_list tstats)
+      && ureport.Pool.chunks = treport.Pool.chunks
+      && report_shape ureport = report_shape treport
+      && tr = serial
+      && report_shape treport = report_shape sreport)
 
-(* Faults in the picture: the faulted tasks' spans must not leak into
-   the merged stats either. *)
+(* Faults in the picture: traced and untraced runs fault the same tasks
+   the same way. *)
 let test_traced_untraced_with_faults () =
   let tasks = tasks_n 8 in
   let plan =
@@ -108,18 +114,16 @@ let test_traced_untraced_with_faults () =
     Fun.protect ~finally:Faultinject.disarm (fun () -> sweep ~jobs:2 ~batch_size:3 tasks)
   in
   Trace.set_output None;
-  let ur, ustats, ureport = run () in
+  let ur, ureport = run () in
   with_trace_file (fun path ->
       Trace.set_output (Some path);
-      let tr, tstats, treport = run () in
+      let tr, treport = run () in
       Trace.set_output None;
-      Alcotest.(check bool) "results equal" true (ur = tr);
-      Alcotest.(check (list (pair string int)))
-        "counters equal" (counters_list ustats) (counters_list tstats);
-      Alcotest.(check bool) "histograms equal" true
-        (hists_list ustats = hists_list tstats);
+      Alcotest.(check bool) "results equal" true
+        (Array.map (Result.map_error Pool.fault_to_string) ur
+        = Array.map (Result.map_error Pool.fault_to_string) tr);
+      Alcotest.(check bool) "reports equal" true (report_shape ureport = report_shape treport);
       Alcotest.(check int) "two crashed" 2 ureport.Pool.crashed;
-      Alcotest.(check int) "same crashes traced" ureport.Pool.crashed treport.Pool.crashed;
       (* The trace must have recorded a task span for every task, the
          faulted ones included. *)
       let task_keys =
@@ -238,10 +242,12 @@ let test_worker_span_stitching () =
   match worker_exe_for_tests () with
   | None -> Alcotest.skip ()
   | Some _ ->
+    let tasks = tasks_n 8 in
+    Trace.set_output None;
+    let serial, sreport = sweep ~jobs:1 ~batch_size:1 tasks in
     with_trace_file (fun path ->
         Trace.set_output (Some path);
-        let tasks = tasks_n 8 in
-        let _, rstats, report =
+        let results, report =
           Remote.sweep ~spec:(Remote.Spawn 2) ~batch_size:2
             ~kind:Remote.selftest_kind ~key:Fun.id
             ~arg:(fun _ -> "8")
@@ -249,8 +255,11 @@ let test_worker_span_stitching () =
         in
         Trace.set_output None;
         Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
-        Alcotest.(check int) "not degraded" 0
-          (Counter.get rstats.Pool.counters "remote.degraded");
+        Alcotest.(check (option int)) "not degraded" (Some 0)
+          (List.assoc_opt "remote.degraded" report.Pool.transport);
+        Alcotest.(check bool) "traced remote results = untraced serial" true (results = serial);
+        Alcotest.(check bool) "traced remote report = untraced serial" true
+          (report_shape report = report_shape sreport);
         let lines = read_lines path in
         let srcs =
           List.filter_map
@@ -313,23 +322,59 @@ let metrics_counter v name =
   Option.bind (Json.member "counters" v) (Json.member name)
   |> Fun.flip Option.bind Json.to_int_opt
 
+let metrics_histogram v name =
+  Option.bind (Json.member "histograms" v) (Json.member name)
+
+(* The security sweep's tally and fault report reach --metrics, with
+   domains and through worker processes: every [sweep.*] counter, the
+   macro-op histogram bucket for bucket, and [pool.tasks]/[pool.chunks]
+   as the report has them. *)
 let test_metrics_export () =
-  let (_, stats, _), v = with_metrics (fun () -> sweep ~jobs:2 ~batch_size:2 (tasks_n 6)) in
-  Alcotest.(check (option int))
-    "selftest.runs matches merged stats"
-    (Some (Counter.get stats.Pool.counters "selftest.runs"))
-    (metrics_counter v "selftest.runs");
-  Alcotest.(check (option int))
-    "pool.tasks exported" (Some 6) (metrics_counter v "pool.tasks");
-  let draws_n =
-    Option.bind (Json.member "histograms" v) (Json.member "selftest.draws")
-    |> Fun.flip Option.bind (Json.member "n")
-    |> Fun.flip Option.bind Json.to_int_opt
+  let exploits = List.filteri (fun i _ -> i mod 97 = 0) Chex86_exploits.Exploits.all in
+  List.iter
+    (fun (label, spec) ->
+      let (_, tally, report), v =
+        Remote.set_spec spec;
+        Fun.protect
+          ~finally:(fun () -> Remote.set_spec Remote.Off)
+          (fun () ->
+            with_metrics (fun () -> Security.sweep_stats_supervised ~jobs:2 exploits))
+      in
+      let check name expected =
+        Alcotest.(check (option int)) (label ^ ": " ^ name) (Some expected)
+          (metrics_counter v name)
+      in
+      Alcotest.(check int) (label ^ ": every exploit tallied") (List.length exploits)
+        (Counter.get tally.Security.counters "sweep.total");
+      List.iter (fun (name, n) -> check name n) (Counter.to_list tally.Security.counters);
+      check "pool.tasks" report.Pool.tasks;
+      check "pool.chunks" report.Pool.chunks;
+      List.iter (fun (name, n) -> check name n) report.Pool.transport;
+      let expected =
+        List.map
+          (fun (x, n) -> Json.List [ Json.Int x; Json.Int n ])
+          (Histogram.sorted tally.Security.protected_macro_insns)
+      in
+      Alcotest.(check bool) (label ^ ": macro-op histogram exported") true
+        (Option.bind (metrics_histogram v "sweep.protected_macro_insns") (Json.member "buckets")
+        = Some (Json.List expected)))
+    [ ("jobs2", Remote.Off); ("workers2", Remote.Spawn 2) ];
+  (* No completed evaluation: no tally to export, only the report. *)
+  let plan =
+    Faultinject.of_list
+      (List.map (fun (e : Chex86_exploits.Exploit.t) -> (e.name, Faultinject.crash ())) exploits)
   in
-  Alcotest.(check (option int))
-    "histogram mass matches merged stats"
-    (Some (Histogram.count (List.assoc "selftest.draws" stats.Pool.histograms)))
-    draws_n
+  let _, v =
+    Faultinject.arm plan;
+    Fun.protect ~finally:Faultinject.disarm (fun () ->
+        with_metrics (fun () -> Security.sweep_stats_supervised ~jobs:2 exploits))
+  in
+  Alcotest.(check (option int)) "all faulted: pool.crashed" (Some (List.length exploits))
+    (metrics_counter v "pool.crashed");
+  Alcotest.(check (option int)) "all faulted: no sweep.total" None
+    (metrics_counter v "sweep.total");
+  Alcotest.(check bool) "all faulted: no macro-op histogram" true
+    (metrics_histogram v "sweep.protected_macro_insns" = None)
 
 (* Figure sweeps publish their pool.* counters to --metrics just like the
    security sweep does: the prefetcher's in-process path is Pool.sweep. *)
@@ -347,9 +392,58 @@ let test_prefetch_metrics_export () =
   in
   Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
   Alcotest.(check (option int))
-    "pool.tasks exported" (Some 3) (metrics_counter v "pool.tasks")
+    "pool.tasks exported" (Some 3) (metrics_counter v "pool.tasks");
+  Alcotest.(check (option int))
+    "pool.chunks exported" (Some report.Pool.chunks) (metrics_counter v "pool.chunks")
+
+(* --- unopenable telemetry files --------------------------------------------- *)
+
+(* Run [Cli.parse_common args] in a child copy of this executable (it
+   exits on a bad flag) and return its exit status and stderr. *)
+let parse_common_in_child args =
+  let exe = Sys.executable_name in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe
+      (Array.of_list (exe :: "--parse-common" :: "--no-cache" :: args))
+      Unix.stdin Unix.stdout err_w
+  in
+  Unix.close err_w;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  let _, status = Unix.waitpid [] pid in
+  (status, err)
+
+(* An unopenable --trace or --metrics file stops the run with exit 1 and
+   names the file, like any malformed flag; it used to print a warning,
+   exit 0 and write nothing. *)
+let test_unopenable_file_fails () =
+  let good = Filename.temp_file "chex86_cli" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove good with Sys_error _ -> ())
+    (fun () ->
+      (* A path under a regular file cannot be opened. *)
+      let bad = Filename.concat good "out" in
+      List.iter
+        (fun flag ->
+          let status, err = parse_common_in_child [ flag; bad ] in
+          Alcotest.(check bool) (flag ^ ": exit 1") true (status = Unix.WEXITED 1);
+          Alcotest.(check bool) (flag ^ ": names the file") true (contains err bad))
+        [ "--trace"; "--metrics" ];
+      let status, _ = parse_common_in_child [ "--metrics"; good ] in
+      Alcotest.(check bool) "a writable --metrics file exits 0" true (status = Unix.WEXITED 0);
+      Alcotest.(check bool) "and is written at exit" true
+        (match Json.of_string (String.concat "\n" (read_lines good)) with
+        | Ok v -> Json.member "counters" v <> None
+        | Error _ -> false))
 
 let () =
+  match Array.to_list Sys.argv with
+  | _ :: "--parse-common" :: args ->
+    ignore (Chex86_harness.Cli.parse_common args);
+    exit 0
+  | _ ->
   Alcotest.run "trace"
     [
       ( "core",
@@ -373,5 +467,10 @@ let () =
           Alcotest.test_case "export" `Quick test_metrics_export;
           Alcotest.test_case "prefetch exports pool counters" `Quick
             test_prefetch_metrics_export;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "unopenable --trace/--metrics file fails" `Quick
+            test_unopenable_file_fails;
         ] );
     ]
