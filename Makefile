@@ -127,6 +127,8 @@ security-matrix: build
 # geometries (7 legs x 3 geometries = 21 kill points), each leg
 # resumed and byte-compared against a fault-free reference, plus an
 # explicit `chex86_sim store fsck` pass over a freshly written store.
+# The same sweep re-run warm must be served from the store: all 12
+# cells hit, none is simulated or written again.
 # Reports land in /tmp for CI artifact upload.
 store-smoke: build
 	./_build/default/test/chaos_soak.exe --legs 7 --seed 42 \
@@ -135,6 +137,11 @@ store-smoke: build
 	CHEX86_WORKLOADS=mcf,canneal CHEX86_SCALE=1 \
 		dune exec bench/main.exe -- --jobs 2 figure6 \
 		--cache-dir /tmp/chex86-store-smoke-cache > /dev/null
+	CHEX86_WORKLOADS=mcf,canneal CHEX86_SCALE=1 \
+		dune exec bench/main.exe -- --jobs 2 figure6 \
+		--cache-dir /tmp/chex86-store-smoke-cache \
+		--metrics /tmp/chex86-store-warm.json > /dev/null
+	grep -F '"hits":12,"misses":0,"writes":0' /tmp/chex86-store-warm.json > /dev/null
 	./_build/default/bin/chex86_sim.exe store stats \
 		--cache-dir /tmp/chex86-store-smoke-cache
 	./_build/default/bin/chex86_sim.exe store fsck \

@@ -473,8 +473,8 @@ let store_cmd =
     Cmd.v
       (Cmd.info "fsck"
          ~doc:
-           "Verify every store invariant (entry digests, shard placement, \
-            foreign files); quarantine corrupt entries and reclaim stale tmp \
+           "Verify every store invariant (entry digests, foreign files and \
+            directories); quarantine corrupt entries and reclaim stale tmp \
             files so a second run comes back clean. Exits 1 on violations.")
       Term.(const fsck $ store_dir_arg $ out_arg)
   in

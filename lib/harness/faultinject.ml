@@ -91,9 +91,7 @@ let describe () = (!current).describe
 
 type point_action =
   | Point_kill  (* SIGKILL this process at the point *)
-  | Point_crash  (* raise Injected_crash at the point *)
   | Point_torn of int  (* caller truncates its in-flight artifact *)
-  | Point_delay of float  (* stall at the point *)
   | Point_enospc  (* caller fails its write with ENOSPC *)
 
 type point_spec = { action : point_action; arm_at : int }
@@ -132,8 +130,6 @@ let arm_points specs =
 let disarm_points () = arm_points []
 let points_armed () = Atomic.get points_live
 
-(* Count the arrival and decide under the lock; side effects happen
-   outside it so a Point_delay never holds up other domains' points. *)
 let point_decision name =
   Mutex.protect points_lock (fun () ->
       match Hashtbl.find_opt points name with
@@ -158,28 +154,20 @@ let at_point name =
     | Some Point_kill ->
       Unix.kill (Unix.getpid ()) Sys.sigkill;
       None
-    | Some Point_crash -> raise (Injected_crash (Printf.sprintf "injection point %s" name))
-    | Some (Point_delay seconds) ->
-      Unix.sleepf seconds;
-      None
     | Some (Point_torn keep) -> Some (Torn_artifact keep)
     | Some Point_enospc -> Some (Errno Unix.ENOSPC)
 
 (* CHEX86_FAULT_POINT syntax: comma-separated NAME[=ACTION][@N] entries;
-   ACTION is kill (default) | crash | enospc | torn:BYTES |
-   delay:SECONDS.  Every malformed element is rejected with the
-   offending string — a chaos run whose injection silently failed to arm
-   would vacuously "pass". *)
+   ACTION is kill (default) | enospc | torn:BYTES.  Every malformed
+   element is rejected with the offending string — a chaos run whose
+   injection silently failed to arm would vacuously "pass". *)
 let point_action_of_string s =
   match String.index_opt s ':' with
   | None -> (
     match s with
     | "" | "kill" -> Ok Point_kill
-    | "crash" -> Ok Point_crash
     | "enospc" -> Ok Point_enospc
-    | _ ->
-      Error
-        (Printf.sprintf "unknown action %S (kill|crash|enospc|torn:BYTES|delay:SECONDS)" s))
+    | _ -> Error (Printf.sprintf "unknown action %S (kill|enospc|torn:BYTES)" s))
   | Some i -> (
     let head = String.sub s 0 i in
     let arg = String.sub s (i + 1) (String.length s - i - 1) in
@@ -188,13 +176,7 @@ let point_action_of_string s =
       match int_of_string_opt arg with
       | Some n when n >= 0 -> Ok (Point_torn n)
       | _ -> Error (Printf.sprintf "torn: not a byte count: %S" arg))
-    | "delay" -> (
-      match float_of_string_opt arg with
-      | Some f when f >= 0. -> Ok (Point_delay f)
-      | _ -> Error (Printf.sprintf "delay: not a duration in seconds: %S" arg))
-    | _ ->
-      Error
-        (Printf.sprintf "unknown action %S (kill|crash|enospc|torn:BYTES|delay:SECONDS)" s))
+    | _ -> Error (Printf.sprintf "unknown action %S (kill|enospc|torn:BYTES)" s))
 
 let point_of_spec_entry entry =
   let entry = String.trim entry in

@@ -66,19 +66,17 @@ val describe : unit -> string
 
 type point_action =
   | Point_kill  (** SIGKILL this process at the point *)
-  | Point_crash  (** raise [Injected_crash] at the point *)
   | Point_torn of int
       (** the call site truncates its in-flight artifact (e.g. the
           store's tmp file) to this many bytes *)
-  | Point_delay of float  (** stall this many seconds at the point *)
   | Point_enospc  (** the call site fails its write with [ENOSPC] *)
 
 type point_spec = { action : point_action; arm_at : int }
 (** [arm_at] is the 1-based arrival ordinal the point fires at; 0 fires
     on every arrival. *)
 
-(** What [at_point] asks its call site to do; [Point_kill]/[Point_crash]
-    /[Point_delay] are performed internally and never returned. *)
+(** What [at_point] asks its call site to do; [Point_kill] is performed
+    internally and never returned. *)
 type point_hit = Torn_artifact of int | Errno of Unix.error
 
 val known_points : string list
@@ -90,14 +88,14 @@ val disarm_points : unit -> unit
 val points_armed : unit -> bool
 
 (** Consulted at each named point. A single atomic load when nothing is
-    armed. Fires the armed action when the arrival ordinal matches:
-    kill/crash/delay happen here; [Torn_artifact]/[Errno] are returned
-    for the call site to apply. *)
+    armed. Fires the armed action when the arrival ordinal matches: a
+    kill happens here; [Torn_artifact]/[Errno] are returned for the
+    call site to apply. *)
 val at_point : string -> point_hit option
 
 (** Parse a [CHEX86_FAULT_POINT] spec — comma-separated
     [NAME[=ACTION][@N]] entries, ACTION one of [kill] (default),
-    [crash], [enospc], [torn:BYTES], [delay:SECONDS] — rejecting
+    [enospc], [torn:BYTES] — rejecting
     unknown point names and malformed actions/ordinals with the
     offending string. *)
 val points_of_spec : string -> ((string * point_spec) list, string) result

@@ -173,36 +173,34 @@ let run_threads ?(timing = false) ?(max_insns = 50_000_000)
 (* --- on-disk result store (checkpoint / resume / shared cache) ------------ *)
 
 (* Spills memoized runs to disk so an interrupted sweep resumes where it
-   stopped, repeated invocations skip re-simulation entirely, and many
+   stopped, repeated invocations skip re-simulation entirely, and
    concurrent processes (sweeps and worker processes) can share one warm
    cache.  Entries are keyed by the memo key ([job_key]) plus a content
    digest of the built workload program, so editing a workload builder
    invalidates its cached runs.
 
-   v2 layout, content-addressed and shared-writer safe:
+   Layout, one flat directory:
 
-     <dir>/objects/<hh>/<slug>-<id>.run   published entries, sharded by
-                                          the first byte of <id> (the
-                                          MD5 of key + program digest)
-     <dir>/objects/<hh>/.tmp-<pid>-<n>-*  in-flight writes
-     <dir>/quarantine/                    corrupt entries, kept for
-                                          post-mortem instead of deleted
+     <dir>/<slug>-<id>.run          published entries (<id> is the MD5
+                                    of key + program digest + model)
+     <dir>/.tmp-<pid>-<n>-<name>    in-flight writes
+     <dir>/quarantine/              corrupt entries, kept for
+                                    post-mortem instead of deleted
 
-   A flat <dir>/<slug>-<id>.run is a pre-sharding chex86-store-v1 entry.
-   It predates later timing fixes, so it is never served: load misses
-   it and fsck quarantines it.
+   Regenerating every stored target writes 241 entries, so one directory
+   listing stays small.
 
    Crash model (machine-checked by `chex86_sim store fsck` and the
    kill/resume chaos soak): a writer may be SIGKILLed at any point.
-   Entries become visible only via link/rename of a fully written tmp
-   file, so a reader can never observe a partial entry; a kill before
-   publish leaves only a tmp file that reclamation or fsck collects.
-   Two writers racing on one key are benign: the loser's link fails
-   with EEXIST and is counted as [race_lost] — a cache hit in effect,
-   never corruption.  Anything unreadable is quarantined with a warning
-   and re-simulated — a corrupt cache can cost time, never correctness,
-   and never a crash.  On ENOSPC/EROFS the store degrades to memo-only
-   operation so a sweep on a full disk still completes. *)
+   Entries become visible only by rename of a fully written tmp file, so
+   a reader never observes a partial entry; a kill before the rename
+   leaves only a tmp file, which reclamation or fsck collects once it is
+   stale.  Two writers of one key are benign: the simulator is
+   deterministic, so the second rename replaces an entry with an equal
+   one.  Anything unreadable is quarantined with a warning and
+   re-simulated — a corrupt cache can cost time, never correctness, and
+   never a crash.  On ENOSPC/EROFS/EACCES the store degrades to
+   memo-only operation so a sweep on a full disk still completes. *)
 module Store = struct
   let format_version = "chex86-store-v2"
 
@@ -213,7 +211,6 @@ module Store = struct
   let discarded = Atomic.make 0
   let tmp_reclaimed = Atomic.make 0
   let quarantined = Atomic.make 0
-  let race_lost = Atomic.make 0
   let write_errors = Atomic.make 0
   let degraded = Atomic.make false
 
@@ -224,7 +221,6 @@ module Store = struct
     discarded : int;
     tmp_reclaimed : int;
     quarantined : int;
-    race_lost : int;
     write_errors : int;
     degraded : bool;
   }
@@ -237,7 +233,6 @@ module Store = struct
       discarded = Atomic.get discarded;
       tmp_reclaimed = Atomic.get tmp_reclaimed;
       quarantined = Atomic.get quarantined;
-      race_lost = Atomic.get race_lost;
       write_errors = Atomic.get write_errors;
       degraded = Atomic.get degraded;
     }
@@ -249,129 +244,57 @@ module Store = struct
     Atomic.set discarded 0;
     Atomic.set tmp_reclaimed 0;
     Atomic.set quarantined 0;
-    Atomic.set race_lost 0;
     Atomic.set write_errors 0;
     Atomic.set degraded false
 
   let default_dir = "_chex86_cache"
-  let objects_dirname = "objects"
   let quarantine_dirname = "quarantine"
-  let objects_dir d = Filename.concat d objects_dirname
   let quarantine_dir d = Filename.concat d quarantine_dirname
 
   let warn fmt =
     Printf.ksprintf (fun msg -> Printf.eprintf "chex86-store: %s\n%!" msg) fmt
 
-  (* A tmp file's writer is still alive iff signal 0 reaches its pid
-     (EPERM means alive under another uid — leave it alone). *)
-  let pid_alive pid =
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    | exception _ -> true
+  let list_dir d = match Sys.readdir d with names -> names | exception Sys_error _ -> [||]
 
-  (* Age floor for reclaiming a dead writer's tmp files: between the
-     liveness probe and the unlink the file could belong to a brand-new
-     writer that inherited a recycled pid (or, on a shared filesystem,
-     to a live writer in another pid namespace whose pid happens to
-     look dead here).  A real writer publishes within one entry write,
-     so anything older than [tmp_min_age] with a dead owner is garbage;
-     younger files are left for the next sweep. *)
+  (* A tmp file lives for one entry write and one rename, so one older
+     than this belongs to a dead writer.  A writer stalled for longer
+     loses its tmp file: its rename fails, a write error is counted,
+     and that one entry is not cached. *)
   let tmp_min_age = 60. (* seconds *)
-
-  (* Hard age cap for pid reuse in the other direction: a recycled pid
-     can also make a long-dead writer look alive, so sufficiently old
-     tmp files go regardless of the liveness probe. *)
-  let tmp_stale_age = 900. (* seconds *)
 
   let is_tmp_name name = String.length name > 5 && String.sub name 0 5 = ".tmp-"
 
-  let tmp_writer_pid name =
-    match String.index_from_opt name 5 '-' with
-    | Some dash -> int_of_string_opt (String.sub name 5 (dash - 5))
-    | None -> None
-
-  let tmp_age ~now path =
+  (* Remove the tmp file at [path] if it is stale; [true] iff removed. *)
+  let reclaim_tmp_file ~now path =
     match Unix.stat path with
-    | st -> now -. st.Unix.st_mtime
-    | exception Unix.Unix_error _ -> 0.
+    | st when now -. st.Unix.st_mtime > tmp_min_age -> (
+      match Sys.remove path with
+      | () ->
+        Atomic.incr tmp_reclaimed;
+        true
+      | exception Sys_error _ -> false)
+    | _ | (exception Unix.Unix_error _) -> false
 
-  let tmp_is_stale ~self ~now path name =
-    let age = tmp_age ~now path in
-    match tmp_writer_pid name with
-    | Some pid when pid = self -> false
-    | Some pid -> ((not (pid_alive pid)) && age > tmp_min_age) || age > tmp_stale_age
-    | None -> age > tmp_stale_age
-
-  (* The directories that may hold entries or tmp files: the root plus
-     every populated shard. *)
-  let entry_dirs d =
-    let shards =
-      match Sys.readdir (objects_dir d) with
-      | names ->
-        Array.to_list names
-        |> List.filter_map (fun n ->
-               let p = Filename.concat (objects_dir d) n in
-               if Sys.is_directory p then Some p else None)
-      | exception Sys_error _ -> []
-    in
-    d :: List.sort compare shards
-
-  (* Reclaim stale [.tmp-<pid>-*] files left behind by killed processes
-     anywhere in the tree. *)
+  (* Reclaim stale tmp files left behind by killed writers.  Only
+     [configure] calls this: a directory created later holds none. *)
   let reclaim_tmp d =
-    let self = Unix.getpid () in
     let now = Unix.time () in
-    List.iter
-      (fun dir ->
-        match Sys.readdir dir with
-        | exception Sys_error _ -> ()
-        | names ->
-          Array.iter
-            (fun name ->
-              if is_tmp_name name then begin
-                let path = Filename.concat dir name in
-                if tmp_is_stale ~self ~now path name then begin
-                  match Sys.remove path with
-                  | () ->
-                    Atomic.incr tmp_reclaimed;
-                    warn "reclaimed stale tmp file %s" path
-                  | exception Sys_error _ -> ()
-                end
-              end)
-            names)
-      (entry_dirs d)
-
-  (* One sweep per configuration: [ensure_dir] runs on every save, and
-     re-listing the tree each time would turn writes quadratic. *)
-  let swept = Atomic.make false
-
-  (* Entries that failed to quarantine (read-only store): remembered so
-     a corrupt entry is not re-read and re-warned every load. *)
-  let bad : (string, unit) Hashtbl.t = Hashtbl.create 8
-  let bad_lock = Mutex.create ()
-  let mark_bad path = Mutex.protect bad_lock (fun () -> Hashtbl.replace bad path ())
-  let is_bad path = Mutex.protect bad_lock (fun () -> Hashtbl.mem bad path)
-  let clear_bad () = Mutex.protect bad_lock (fun () -> Hashtbl.reset bad)
+    Array.iter
+      (fun name ->
+        let path = Filename.concat d name in
+        if is_tmp_name name && reclaim_tmp_file ~now path then
+          warn "reclaimed stale tmp file %s" path)
+      (list_dir d)
 
   (* The directory itself is created on first write, so enabling the
      store in a binary that never saves leaves no empty directory. *)
   let configure ~dir =
     Atomic.set dir_ref (Some dir);
-    Atomic.set swept false;
     Atomic.set degraded false;
-    clear_bad ();
-    if Sys.file_exists dir then begin
-      Atomic.set swept true;
-      reclaim_tmp dir
-    end
+    reclaim_tmp dir
 
   let mkdir_exist_ok dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-  let ensure_dir dir =
-    mkdir_exist_ok dir;
-    if not (Atomic.exchange swept true) then reclaim_tmp dir
 
   let disable () = Atomic.set dir_ref None
   let enabled () = Option.is_some (Atomic.get dir_ref)
@@ -384,7 +307,7 @@ module Store = struct
 
   (* Key scheme: a human-greppable sanitized prefix of the memo key plus
      a digest over (key, program digest, model) that actually
-     disambiguates; the digest's first byte is the shard. *)
+     disambiguates. *)
   let entry_id ~key ~digest =
     Digest.to_hex (Digest.string (String.concat "\x00" [ key; digest; model_fingerprint ]))
 
@@ -397,27 +320,8 @@ module Store = struct
     in
     Printf.sprintf "%s-%s.run" slug (entry_id ~key ~digest)
 
-  let entry_suffix = ".run"
-  let is_entry_name name = (not (is_tmp_name name)) && Filename.check_suffix name entry_suffix
-
-  (* The shard an entry name belongs to: first two hex chars of the
-     trailing 32-char id. *)
-  let shard_of_name name =
-    if not (Filename.check_suffix name entry_suffix) then None
-    else
-      let base = Filename.chop_suffix name entry_suffix in
-      if String.length base < 32 then None
-      else
-        let id = String.sub base (String.length base - 32) 32 in
-        if String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) id
-        then Some (String.sub id 0 2)
-        else None
-
-  (* [entry_path_in d ~key ~digest] is the entry's sharded path under [d]. *)
-  let entry_path_in d ~key ~digest =
-    let shard = String.sub (entry_id ~key ~digest) 0 2 in
-    Filename.concat (Filename.concat (objects_dir d) shard) (entry_name ~key ~digest)
-
+  let is_entry_name name = (not (is_tmp_name name)) && Filename.check_suffix name ".run"
+  let entry_path_in d ~key ~digest = Filename.concat d (entry_name ~key ~digest)
   let entry_path ~key ~digest = Option.map (fun d -> entry_path_in d ~key ~digest) (dir ())
 
   let read_file path =
@@ -467,7 +371,6 @@ module Store = struct
                  (String.length payload) len)
           | Some _ -> check_payload payload payload_digest)
         | _ -> Error "truncated header"
-      else if version = "chex86-store-v1" then Error "legacy v1 entry"
       else Error (Printf.sprintf "unknown format version %S" version)
 
   let parse_file path : (run, [ `Missing | `Corrupt of string ]) result =
@@ -479,8 +382,9 @@ module Store = struct
       | exception e -> Error (`Corrupt ("unreadable: " ^ Printexc.to_string e))
 
   (* Corrupt entries are moved aside for post-mortem, never trusted and
-     never silently deleted; if the move itself fails (read-only store)
-     the path is remembered as bad so it is not re-read every load. *)
+     never silently deleted.  If neither the move nor a removal works
+     (read-only store), the memo in front of the store still keeps this
+     process from re-reading the key. *)
   let quarantine_counter = Atomic.make 0
 
   let quarantine_entry d path reason =
@@ -505,15 +409,14 @@ module Store = struct
     | exception _ -> (
       match Sys.remove path with
       | () -> ()
-      | exception _ -> mark_bad path)
+      | exception _ -> warn "cannot move or remove corrupt entry %s" path)
 
   (* --- publish protocol ---------------------------------------------------
 
-     O_EXCL tmp write + link: the entry becomes visible atomically and
-     only complete; a concurrent writer of the same key loses the link
-     race with EEXIST and treats it as a hit.  Filesystems without hard
-     links fall back to rename (still atomic; a lost race overwrites
-     the winner with an identical entry). *)
+     O_EXCL tmp write + rename: the entry becomes visible atomically and
+     only complete.  A second writer of the same key is another process
+     (the memo dedups within one), and its rename replaces the entry
+     with an equal one. *)
   let tmp_counter = Atomic.make 0
 
   let write_tmp_file tmp body =
@@ -531,18 +434,14 @@ module Store = struct
     | Some (Faultinject.Errno e) -> raise (Unix.Unix_error (e, "write", dst))
     | _ -> ()
 
-  (* Publish [payload] as the entry at [v2_path]. *)
-  let publish d ~key ~v2_path payload =
-    let name = Filename.basename v2_path in
-    let shard_dir = Filename.dirname v2_path in
-    mkdir_exist_ok (objects_dir d);
-    mkdir_exist_ok shard_dir;
-    raise_point_errno v2_path (Faultinject.at_point "store.publish.pre_write");
+  (* Publish [payload] as the entry at [path] in [d]. *)
+  let publish d ~key ~path payload =
+    raise_point_errno path (Faultinject.at_point "store.publish.pre_write");
     let tmp =
-      Filename.concat shard_dir
+      Filename.concat d
         (Printf.sprintf ".tmp-%d-%d-%s" (Unix.getpid ())
            (Atomic.fetch_and_add tmp_counter 1)
-           name)
+           (Filename.basename path))
     in
     let body =
       String.concat ""
@@ -560,34 +459,14 @@ module Store = struct
     (match Faultinject.at_point "store.publish.mid_write" with
     | Some (Faultinject.Torn_artifact keep) ->
       Unix.truncate tmp (min keep (String.length body))
-    | hit -> raise_point_errno v2_path hit);
-    raise_point_errno v2_path (Faultinject.at_point "store.publish.pre_rename");
-    let won =
-      if Sys.file_exists v2_path then false
-      else
-        match Unix.link tmp v2_path with
-        | () -> true
-        | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
-        | exception
-            Unix.Unix_error ((Unix.EPERM | Unix.EOPNOTSUPP | Unix.ENOSYS | Unix.EMLINK), _, _)
-          ->
-          Sys.rename tmp v2_path;
-          true
-    in
-    (try Sys.remove tmp with Sys_error _ -> ());
+    | hit -> raise_point_errno path hit);
+    raise_point_errno path (Faultinject.at_point "store.publish.pre_rename");
+    Unix.rename tmp path;
     ignore (Faultinject.at_point "store.publish.post_rename");
-    if won then begin
-      Atomic.incr writes;
-      if Trace.on () then
-        Trace.instant ~stage:"store.publish"
-          [ ("key", key); ("bytes", string_of_int (String.length body)) ]
-    end
-    else begin
-      (* Lost race = someone else already published this exact
-         (key, digest): their entry is as good as ours — a hit. *)
-      Atomic.incr race_lost;
-      if Trace.on () then Trace.instant ~stage:"store.race_lost" [ ("key", key) ]
-    end
+    Atomic.incr writes;
+    if Trace.on () then
+      Trace.instant ~stage:"store.publish"
+        [ ("key", key); ("bytes", string_of_int (String.length body)) ]
 
   (* --- load / save --------------------------------------------------------- *)
 
@@ -616,8 +495,8 @@ module Store = struct
     | Some d when not (Atomic.get degraded) -> (
       let payload = Marshal.to_string (run : run) [] in
       try
-        ensure_dir d;
-        publish d ~key ~v2_path:(entry_path_in d ~key ~digest) payload
+        mkdir_exist_ok d;
+        publish d ~key ~path:(entry_path_in d ~key ~digest) payload
       with
       | Unix.Unix_error ((Unix.ENOSPC | Unix.EROFS | Unix.EACCES), _, _) as e ->
         degrade_writes e
@@ -632,43 +511,19 @@ module Store = struct
     | Some d -> (
       let path = entry_path_in d ~key ~digest in
       ignore (Faultinject.at_point "store.load.pre_read");
-      if is_bad path then begin
+      match parse_file path with
+      | Ok run ->
+        note_hit ~key;
+        Some run
+      | Error (`Corrupt reason) ->
+        quarantine_entry d path reason;
         note_miss ~key;
         None
-      end
-      else
-        match parse_file path with
-        | Ok run ->
-          note_hit ~key;
-          Some run
-        | Error (`Corrupt reason) ->
-          quarantine_entry d path reason;
-          note_miss ~key;
-          None
-        | Error `Missing ->
-          note_miss ~key;
-          None)
+      | Error `Missing ->
+        note_miss ~key;
+        None)
 
   (* --- offline maintenance: stats / fsck ----------------------------------- *)
-
-  (* Published entries across the whole tree as (path, bytes). *)
-  let scan_entries d =
-    let acc = ref [] in
-    let add dir name =
-      if is_entry_name name then begin
-        let path = Filename.concat dir name in
-        match Unix.stat path with
-        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> acc := (path, st_size) :: !acc
-        | _ | (exception Unix.Unix_error _) -> ()
-      end
-    in
-    List.iter
-      (fun dir ->
-        match Sys.readdir dir with
-        | names -> Array.iter (add dir) names
-        | exception Sys_error _ -> ())
-      (entry_dirs d);
-    !acc
 
   type disk_stats = {
     d_entries : int;
@@ -677,23 +532,24 @@ module Store = struct
     d_quarantine : int;
   }
 
-  let count_dir dir pred =
-    match Sys.readdir dir with
-    | names -> Array.fold_left (fun n name -> if pred name then n + 1 else n) 0 names
-    | exception Sys_error _ -> 0
+  (* Size of the regular file at [path]; [None] for anything else. *)
+  let file_size path =
+    match Unix.stat path with
+    | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some st_size
+    | _ | (exception Unix.Unix_error _) -> None
 
   let disk_stats ~dir:d =
-    let entries = scan_entries d in
-    let tmp =
-      List.fold_left
-        (fun n dir -> n + count_dir dir is_tmp_name)
-        0 (entry_dirs d)
+    let names = Array.to_list (list_dir d) in
+    let sizes =
+      List.filter_map
+        (fun name -> if is_entry_name name then file_size (Filename.concat d name) else None)
+        names
     in
     {
-      d_entries = List.length entries;
-      d_bytes = List.fold_left (fun a (_, s) -> a + s) 0 entries;
-      d_tmp = tmp;
-      d_quarantine = count_dir (quarantine_dir d) (fun _ -> true);
+      d_entries = List.length sizes;
+      d_bytes = List.fold_left ( + ) 0 sizes;
+      d_tmp = List.length (List.filter is_tmp_name names);
+      d_quarantine = Array.length (list_dir (quarantine_dir d));
     }
 
   type fsck_issue = { f_path : string; f_problem : string }
@@ -706,100 +562,50 @@ module Store = struct
     f_tmp_reclaimed : int;  (* stale tmp files removed by this pass *)
     f_quarantined : int;  (* corrupt entries moved aside by this pass *)
     f_quarantine_backlog : int;  (* files already in quarantine/ *)
-    f_issues : fsck_issue list;  (* invariant violations, oldest first *)
+    f_issues : fsck_issue list;  (* invariant violations, in name order *)
   }
 
   let fsck_clean r = r.f_issues = []
 
-  (* Full invariant check over a store tree.  Violations: an entry that
-     fails to parse/verify (a legacy v1 entry among them), an entry
-     outside (or in the wrong shard of) the objects/ tree, a non-hex
-     shard directory.  Young tmp files are in-flight writes, not
-     violations; stale ones are reclaimed and reported but also not
-     violations — they are exactly what the crash model says a SIGKILL
-     leaves behind.  Corrupt and misplaced entries are quarantined so a second
-     fsck run comes back clean. *)
+  (* Full invariant check, one pass over the store directory.  Tmp
+     files are not violations — they are exactly what the crash model
+     says a SIGKILL leaves behind: stale ones are reclaimed, young ones
+     left pending.  Every entry must parse and verify; a corrupt one is
+     quarantined, so a second fsck comes back clean.  Anything else but
+     quarantine/ is foreign: reported and left alone. *)
   let fsck ~dir:d =
     let scanned = ref 0 and ok = ref 0 and bytes = ref 0 in
     let tmp_pending = ref 0 and tmp_swept = ref 0 and quarantined_now = ref 0 in
     let issues = ref [] in
     let issue path problem = issues := { f_path = path; f_problem = problem } :: !issues in
-    let issue_quarantine path problem =
-      issue path problem;
-      let before = Atomic.get quarantined in
-      quarantine_entry d path problem;
-      if Atomic.get quarantined > before then incr quarantined_now
-    in
-    let self = Unix.getpid () in
     let now = Unix.time () in
-    let check_tmp dir name =
-      let path = Filename.concat dir name in
-      if tmp_is_stale ~self ~now path name then begin
-        match Sys.remove path with
-        | () ->
-          incr tmp_swept;
-          Atomic.incr tmp_reclaimed
-        | exception Sys_error _ -> incr tmp_pending
-      end
-      else incr tmp_pending
-    in
-    let check_entry ~expect_shard dir name =
-      let path = Filename.concat dir name in
-      incr scanned;
-      match (parse_file path, expect_shard) with
-      | Error `Missing, _ -> issue path "vanished mid-scan"
-      | Error (`Corrupt reason), _ -> issue_quarantine path reason
-      | Ok _, None -> issue_quarantine path "v2 entry outside the objects/ tree"
-      | Ok _, Some shard -> (
-        match shard_of_name name with
-        | Some s when s = shard ->
-          incr ok;
-          bytes := !bytes + (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0)
-        | Some s ->
-          issue_quarantine path
-            (Printf.sprintf "entry named for shard %s found in %s" s shard)
-        | None -> issue_quarantine path "entry name carries no digest")
-    in
-    (* Root: tmp files and the two known dirs; an entry here is a
-       legacy v1 entry or a misplaced v2 one. *)
-    (match Sys.readdir d with
-    | exception Sys_error _ -> ()
-    | names ->
-      Array.iter
-        (fun name ->
-          let path = Filename.concat d name in
-          if Sys.is_directory path then begin
-            if name <> objects_dirname && name <> quarantine_dirname then
-              issue path "unexpected directory in store root"
-          end
-          else if is_tmp_name name then check_tmp d name
-          else if is_entry_name name then check_entry ~expect_shard:None d name
-          else issue path "unexpected file in store root")
-        names);
-    (* objects/<shard>/ *)
-    (match Sys.readdir (objects_dir d) with
-    | exception Sys_error _ -> ()
-    | shards ->
-      Array.iter
-        (fun shard ->
-          let sd = Filename.concat (objects_dir d) shard in
-          if not (Sys.is_directory sd) then issue sd "unexpected file in objects/"
-          else if
-            not
-              (String.length shard = 2
-              && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) shard)
-          then issue sd "non-hex shard directory"
-          else
-            match Sys.readdir sd with
-            | exception Sys_error _ -> ()
-            | names ->
-              Array.iter
-                (fun name ->
-                  if is_tmp_name name then check_tmp sd name
-                  else if is_entry_name name then check_entry ~expect_shard:(Some shard) sd name
-                  else issue (Filename.concat sd name) "unexpected file in shard")
-                names)
-        (Array.of_list (List.sort compare (Array.to_list shards))));
+    let names = list_dir d in
+    Array.sort compare names;
+    Array.iter
+      (fun name ->
+        let path = Filename.concat d name in
+        if is_tmp_name name then begin
+          if reclaim_tmp_file ~now path then incr tmp_swept else incr tmp_pending
+        end
+        else if is_entry_name name then begin
+          incr scanned;
+          match parse_file path with
+          | Ok _ ->
+            incr ok;
+            bytes := !bytes + Option.value ~default:0 (file_size path)
+          | Error `Missing -> issue path "vanished mid-scan"
+          | Error (`Corrupt reason) ->
+            issue path reason;
+            let before = Atomic.get quarantined in
+            quarantine_entry d path reason;
+            if Atomic.get quarantined > before then incr quarantined_now
+        end
+        else if name <> quarantine_dirname then
+          issue path
+            (match Sys.is_directory path with
+            | true -> "unexpected directory in store root"
+            | false | (exception Sys_error _) -> "unexpected file in store root"))
+      names;
     {
       f_scanned = !scanned;
       f_ok = !ok;
@@ -807,7 +613,7 @@ module Store = struct
       f_tmp_pending = !tmp_pending;
       f_tmp_reclaimed = !tmp_swept;
       f_quarantined = !quarantined_now;
-      f_quarantine_backlog = count_dir (quarantine_dir d) (fun _ -> true);
+      f_quarantine_backlog = Array.length (list_dir (quarantine_dir d));
       f_issues = List.rev !issues;
     }
 
@@ -1040,7 +846,6 @@ let () =
                 ("discarded", Json.Int s.Store.discarded);
                 ("tmp_reclaimed", Json.Int s.Store.tmp_reclaimed);
                 ("quarantined", Json.Int s.Store.quarantined);
-                ("race_lost", Json.Int s.Store.race_lost);
                 ("write_errors", Json.Int s.Store.write_errors);
                 ("degraded", Json.Bool s.Store.degraded);
               ] );

@@ -65,17 +65,16 @@ val run_threads :
     where it stopped, repeated invocations skip re-simulation, and
     concurrent processes share one cache. Disabled until [configure]d.
 
-    v2 layout: entries live in [objects/<shard>/], sharded by the first
-    byte of the entry's content digest. Legacy flat v1 entries predate
-    later timing fixes: they are never served, and [fsck] quarantines
-    them. Publish is an O_EXCL tmp write
-    followed by an atomic link/rename, so readers never observe partial
-    entries and two processes racing on one key are benign (the loser
-    counts [race_lost] — a hit in effect). Corrupt entries are
-    quarantined into [quarantine/] with a warning and re-simulated —
+    One flat directory: entries are [<slug>-<id>.run] files, in-flight
+    writes [.tmp-<pid>-<n>-<name>] files, and corrupt entries go to
+    [quarantine/]. Publish is an O_EXCL tmp write followed by an atomic
+    rename, so readers never observe partial entries; a second writer
+    of one key (another process) replaces the entry with an equal one.
+    Corrupt entries are quarantined with a warning and re-simulated —
     never a crash. The store has no size budget: entries are ~1.4 KB
-    each, so a full figure-6 sweep stores about 115 KB. On ENOSPC/EROFS
-    writes degrade to memo-only so the sweep completes. *)
+    each, so a full figure-6 sweep stores about 115 KB. On
+    ENOSPC/EROFS/EACCES writes degrade to memo-only so the sweep
+    completes. *)
 module Store : sig
   val default_dir : string
   (** ["_chex86_cache"] *)
@@ -91,15 +90,14 @@ module Store : sig
   type stats = {
     hits : int;
     misses : int;
-    writes : int;  (** entries this process published (won the race) *)
+    writes : int;  (** entries this process published *)
     discarded : int;  (** corrupt entries rejected on load *)
     tmp_reclaimed : int;
-        (** stale [.tmp-<pid>-*] files swept, guarded by writer-pid
-            liveness {e and} a safety age (pid reuse) *)
+        (** stale [.tmp-*] files removed: any older than a minute, whoever
+            wrote them *)
     quarantined : int;  (** corrupt entries moved into [quarantine/] *)
-    race_lost : int;  (** publishes beaten by a concurrent writer *)
     write_errors : int;  (** failed entry writes (any cause) *)
-    degraded : bool;  (** store is memo-only after ENOSPC/EROFS *)
+    degraded : bool;  (** store is memo-only after ENOSPC/EROFS/EACCES *)
   }
 
   val stats : unit -> stats
@@ -116,8 +114,8 @@ module Store : sig
 
   val save : key:string -> digest:string -> run -> unit
 
-  (** The sharded path of an entry under the configured directory;
-      [None] when the store is disabled. *)
+  (** The path of an entry under the configured directory; [None] when
+      the store is disabled. *)
   val entry_path : key:string -> digest:string -> string option
 
   (** {3 Offline maintenance}
@@ -147,13 +145,13 @@ module Store : sig
     f_issues : fsck_issue list;  (** invariant violations *)
   }
 
-  (** Verify every store invariant the crash model promises: entries
-      parse and digest-verify (a legacy v1 entry fails as
-      ["legacy v1 entry"]), entries sit in their named shard, no foreign
-      files. Torn tmp files
-      are {e not} violations (they are what a SIGKILL leaves); stale
-      ones are reclaimed, corrupt and misplaced entries quarantined, so
-      a second run comes back clean. *)
+  (** Verify every store invariant the crash model promises, in one
+      pass over the directory: entries parse and digest-verify, and
+      nothing but entries, tmp files and [quarantine/] is there. Tmp
+      files are {e not} violations (they are what a SIGKILL leaves);
+      stale ones are reclaimed and corrupt entries quarantined, so a
+      second run comes back clean. Foreign files and directories are
+      only reported. *)
   val fsck : dir:string -> fsck_report
 
   val fsck_clean : fsck_report -> bool

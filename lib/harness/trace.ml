@@ -165,20 +165,13 @@ let set_output = function
     Mutex.protect lock (fun () -> close_sink ());
     Atomic.set active false
 
-(* Worker collection mode.  A file sink configured explicitly (a worker
-   started with its own --trace) wins over collection: its spans go to
-   its own file and are not shipped. *)
+(* Worker collection mode: a worker process has no sink of its own, so
+   its spans are buffered here and shipped back with each chunk. *)
 let set_collect enable =
   Mutex.protect lock (fun () ->
-      match (!sink, enable) with
-      | Some (File _), _ -> ()
-      | Some (Collect _), true -> ()
-      | (Some (Collect _) | None), false ->
-        sink := None;
-        Atomic.set active false
-      | None, true ->
-        sink := Some (Collect (Buffer.create 4096));
-        Atomic.set active true)
+      if not enable then sink := None
+      else if Option.is_none !sink then sink := Some (Collect (Buffer.create 4096));
+      Atomic.set active enable)
 
 let drain_collected () =
   Mutex.protect lock (fun () ->

@@ -66,8 +66,8 @@ val flush : unit -> unit
 
 (** [set_collect true] switches emission into an in-memory buffer (and
     turns tracing on); [set_collect false] drops the buffer and turns
-    tracing off.  A file sink configured explicitly with [set_output]
-    takes precedence and is left untouched. *)
+    tracing off.  Only a worker process, which never calls
+    [set_output], collects. *)
 val set_collect : bool -> unit
 
 (** Take (and clear) the collected JSONL lines; [""] when not

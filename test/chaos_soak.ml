@@ -24,7 +24,7 @@
    the DIR/go start barrier it publishes SHARED contested keys (the
    same in every child) and DISJOINT private ones straight through
    [Runner.Store.save], then prints its publish counters on stdout for
-   the parent to cross-check the exactly-one-winner-per-key invariant. *)
+   the parent to cross-check that every publish landed intact. *)
 
 module Runner = Chex86_harness.Runner
 module Json = Chex86_stats.Json
@@ -76,9 +76,9 @@ let hammer dir seed shared disjoint =
         (dummy_run (100 + (seed * 1000) + i))
   done;
   let s = Runner.Store.stats () in
-  Printf.printf "writes=%d race_lost=%d hits=%d quarantined=%d write_errors=%d\n%!"
-    s.Runner.Store.writes s.Runner.Store.race_lost s.Runner.Store.hits
-    s.Runner.Store.quarantined s.Runner.Store.write_errors;
+  Printf.printf "writes=%d hits=%d quarantined=%d write_errors=%d\n%!"
+    s.Runner.Store.writes s.Runner.Store.hits s.Runner.Store.quarantined
+    s.Runner.Store.write_errors;
   exit 0
 
 (* --- soak mode -------------------------------------------------------------- *)

@@ -1,7 +1,8 @@
-(* Tests for the v2 content-addressed result store: sharded layout,
-   legacy v1 entries never served, race-lost-is-a-hit publish,
-   quarantine, ENOSPC degradation, fsck, fault-point / env validation,
-   the Remote backoff cap, and the multi-process writer hammer. *)
+(* Tests for the result store: flat layout, entries in the old objects/
+   tree and legacy v1 entries never served, a repeated publish replaces
+   the entry, quarantine, ENOSPC degradation, fsck, fault-point / env
+   validation, the Remote backoff cap, and the multi-process writer
+   hammer. *)
 
 module Runner = Chex86_harness.Runner
 module Store = Runner.Store
@@ -56,19 +57,32 @@ let path_exn ?(digest = "test") key =
   | Some p -> p
   | None -> Alcotest.fail "store not configured"
 
-(* Where a pre-sharding v1 store kept the same entry: the store root. *)
-let flat_path entry = Filename.concat store_dir (Filename.basename entry)
+let write_file path body =
+  let oc = open_out_bin path in
+  output_string oc body;
+  close_out oc
+
+(* The names in the store root, sorted. *)
+let root_listing () = List.sort compare (Array.to_list (Sys.readdir store_dir))
+
+(* A real job whose entry the tests plant by hand. *)
+let planted_job tag =
+  let w = Chex86_workloads.Workloads.find "swaptions" in
+  let key = Runner.job_key (Runner.job ~tag ~timing:false ~scale:1 Runner.insecure w) in
+  let digest = Runner.program_digest (w.build ~scale:1) in
+  let run () = Runner.run_workload ~tag ~timing:false ~scale:1 Runner.insecure w in
+  (path_exn ~digest key, run)
 
 (* --- layout ---------------------------------------------------------------- *)
 
-let test_sharded_layout () =
+let test_flat_layout () =
   with_store (fun () ->
       Store.save ~key:"alpha" ~digest:"test" (dummy_run 1);
-      let v2 = path_exn "alpha" in
-      Alcotest.(check bool) "entry lives in objects/<shard>/" true (Sys.file_exists v2);
-      Alcotest.(check bool) "no flat v1 entry" false (Sys.file_exists (flat_path v2));
-      let shard = Filename.basename (Filename.dirname v2) in
-      Alcotest.(check int) "shard is two hex chars" 2 (String.length shard);
+      let entry = path_exn "alpha" in
+      Alcotest.(check string) "entry sits in the store root" store_dir
+        (Filename.dirname entry);
+      Alcotest.(check (list string)) "the entry and nothing else: no directory"
+        [ Filename.basename entry ] (root_listing ());
       (match Store.load ~key:"alpha" ~digest:"test" with
       | Some r -> Alcotest.(check bool) "roundtrip" true (run_fields r = run_fields (dummy_run 1))
       | None -> Alcotest.fail "expected a hit");
@@ -76,53 +90,91 @@ let test_sharded_layout () =
       Alcotest.(check int) "one write" 1 s.Store.writes;
       Alcotest.(check int) "one hit" 1 s.Store.hits)
 
-let test_legacy_v1_entry_is_a_miss () =
+let test_old_layout_never_served () =
   with_store (fun () ->
-      (* Hand-build a pre-sharding v1 entry at the flat root path of a
-         real job.  v1 entries predate later timing fixes, so serving
-         one would hand out stale cycles. *)
-      let w = Chex86_workloads.Workloads.find "swaptions" in
-      let key =
-        Runner.job_key (Runner.job ~tag:"legacy" ~timing:false ~scale:1 Runner.insecure w)
-      in
-      let digest = Runner.program_digest (w.build ~scale:1) in
-      let v1 = flat_path (path_exn ~digest key) in
-      Unix.mkdir store_dir 0o755;
+      (* A valid entry for a real job where the sharded layout kept it:
+         objects/<first two hex chars of the id>/<name>.  The store
+         reads only its root, so the job re-simulates. *)
+      let entry, run = planted_job "old-layout" in
+      let name = Filename.basename entry in
+      let shard = String.sub name (String.length name - 36) 2 in
+      let objects = Filename.concat store_dir "objects" in
+      List.iter (fun d -> Unix.mkdir d 0o755)
+        [ store_dir; objects; Filename.concat objects shard ];
       let stale = dummy_run 7 in
       let payload = Marshal.to_string (stale : Runner.run) [] in
-      let oc = open_out_bin v1 in
-      Printf.fprintf oc "chex86-store-v1\n%s\n%s"
-        (Digest.to_hex (Digest.string payload))
-        payload;
-      close_out oc;
-      let r = Runner.run_workload ~tag:"legacy" ~timing:false ~scale:1 Runner.insecure w in
-      Alcotest.(check bool) "stale v1 payload not served" false
+      write_file
+        (Filename.concat (Filename.concat objects shard) name)
+        (Printf.sprintf "chex86-store-v2\n%s\n%d\n%s"
+           (Digest.to_hex (Digest.string payload))
+           (String.length payload) payload);
+      let r = run () in
+      Alcotest.(check bool) "old-layout payload not served" false
         (run_fields r = run_fields stale);
       let s = Store.stats () in
       Alcotest.(check int) "a miss" 1 s.Store.misses;
       Alcotest.(check int) "never a hit" 0 s.Store.hits;
       Alcotest.(check int) "re-simulated and published" 1 s.Store.writes;
-      (* fsck quarantines the leftover; a second pass comes back clean. *)
+      Alcotest.(check bool) "flat entry published" true (Sys.file_exists entry);
       let r = Store.fsck ~dir:store_dir in
-      Alcotest.(check (list string)) "flagged as legacy" [ "legacy v1 entry" ]
+      Alcotest.(check (list (pair string string))) "fsck reports objects/"
+        [ (objects, "unexpected directory in store root") ]
+        (List.map (fun i -> (i.Store.f_path, i.Store.f_problem)) r.Store.f_issues);
+      Alcotest.(check int) "the flat entry verifies" 1 r.Store.f_ok)
+
+let test_legacy_v1_entry_is_a_miss () =
+  with_store (fun () ->
+      (* Hand-build a chex86-store-v1 entry at a real job's path.  v1
+         entries predate later timing fixes, so serving one would hand
+         out stale cycles. *)
+      let entry, run = planted_job "legacy" in
+      Unix.mkdir store_dir 0o755;
+      let write_v1 path =
+        let payload = Marshal.to_string (dummy_run 7 : Runner.run) [] in
+        write_file path
+          (Printf.sprintf "chex86-store-v1\n%s\n%s"
+             (Digest.to_hex (Digest.string payload))
+             payload)
+      in
+      write_v1 entry;
+      let r = run () in
+      Alcotest.(check bool) "stale v1 payload not served" false
+        (run_fields r = run_fields (dummy_run 7));
+      let s = Store.stats () in
+      Alcotest.(check int) "a miss" 1 s.Store.misses;
+      Alcotest.(check int) "never a hit" 0 s.Store.hits;
+      Alcotest.(check int) "quarantined on load" 1 s.Store.quarantined;
+      Alcotest.(check int) "re-simulated and published" 1 s.Store.writes;
+      (* fsck names a v1 entry's version and quarantines it; a second
+         pass comes back clean. *)
+      let v1 = Filename.concat store_dir ("legacy-" ^ String.make 32 'a' ^ ".run") in
+      write_v1 v1;
+      let r = Store.fsck ~dir:store_dir in
+      Alcotest.(check (list string)) "flagged as an unknown format version"
+        [ "unknown format version \"chex86-store-v1\"" ]
         (List.map (fun i -> i.Store.f_problem) r.Store.f_issues);
       Alcotest.(check int) "quarantined" 1 r.Store.f_quarantined;
+      Alcotest.(check int) "the re-published entry verifies" 1 r.Store.f_ok;
       Alcotest.(check bool) "gone from the root" false (Sys.file_exists v1);
       Alcotest.(check bool) "second fsck clean" true
         (Store.fsck_clean (Store.fsck ~dir:store_dir)))
 
-let test_lost_race_is_a_hit () =
+let test_second_publish_replaces () =
   with_store (fun () ->
       Store.save ~key:"contested" ~digest:"test" (dummy_run 1);
       (* A second publish of the same key (another process in real
-         life) must not raise and must count as a lost race. *)
+         life) renames an equal entry over the first. *)
       Store.save ~key:"contested" ~digest:"test" (dummy_run 1);
       let s = Store.stats () in
-      Alcotest.(check int) "one winner" 1 s.Store.writes;
-      Alcotest.(check int) "one lost race" 1 s.Store.race_lost;
+      Alcotest.(check int) "both publishes landed" 2 s.Store.writes;
       Alcotest.(check int) "no write errors" 0 s.Store.write_errors;
-      Alcotest.(check bool) "entry intact" true
-        (Option.is_some (Store.load ~key:"contested" ~digest:"test")))
+      Alcotest.(check (list string)) "one entry, no .tmp- file left"
+        [ Filename.basename (path_exn "contested") ]
+        (root_listing ());
+      match Store.load ~key:"contested" ~digest:"test" with
+      | Some r ->
+        Alcotest.(check bool) "entry intact" true (run_fields r = run_fields (dummy_run 1))
+      | None -> Alcotest.fail "expected a hit")
 
 (* --- quarantine / degradation ----------------------------------------------- *)
 
@@ -136,7 +188,7 @@ let test_corrupt_entry_quarantined () =
       let s = Store.stats () in
       Alcotest.(check int) "quarantined" 1 s.Store.quarantined;
       Alcotest.(check int) "discarded" 1 s.Store.discarded;
-      Alcotest.(check bool) "moved out of objects/" false (Sys.file_exists v2);
+      Alcotest.(check bool) "moved out of the root" false (Sys.file_exists v2);
       let qdir = Filename.concat store_dir "quarantine" in
       Alcotest.(check int) "kept for post-mortem" 1 (Array.length (Sys.readdir qdir));
       (* A second load is a plain miss, not a second quarantine. *)
@@ -184,26 +236,24 @@ let test_fsck_flags_and_heals_violations () =
       let r = Store.fsck ~dir:store_dir in
       Alcotest.(check bool) "healthy store is clean" true (Store.fsck_clean r);
       Alcotest.(check int) "all entries scanned" 3 r.Store.f_scanned;
-      (* Violation 1: corrupt entry.  Violation 2: entry moved to the
-         wrong shard.  Violation 3: foreign file in the store root. *)
-      let va = path_exn "fsck-a" in
-      Unix.truncate va 19;
+      (* Violations 1 and 2: a torn entry and one with a flipped payload
+         byte.  Violation 3: a foreign file in the store root. *)
+      Unix.truncate (path_exn "fsck-a") 19;
       let vb = path_exn "fsck-b" in
-      let actual_shard = Filename.basename (Filename.dirname vb) in
-      let other = if actual_shard = "00" then "11" else "00" in
-      let wrong_shard = Filename.concat (Filename.concat store_dir "objects") other in
-      (try Unix.mkdir wrong_shard 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Sys.rename vb (Filename.concat wrong_shard (Filename.basename vb));
+      let fd = Unix.openfile vb [ Unix.O_RDWR ] 0 in
+      ignore (Unix.lseek fd (-1) Unix.SEEK_END);
+      ignore (Unix.write fd (Bytes.make 1 '\xFF') 0 1);
+      Unix.close fd;
       let foreign = Filename.concat store_dir "README.txt" in
-      let oc = open_out foreign in
-      output_string oc "not an entry";
-      close_out oc;
+      write_file foreign "not an entry";
       let r = Store.fsck ~dir:store_dir in
-      Alcotest.(check bool) "violations detected" false (Store.fsck_clean r);
-      Alcotest.(check bool) "at least three issues" true
-        (List.length r.Store.f_issues >= 3);
-      (* fsck quarantines what it can (corrupt + misplaced); the
-         foreign file is only reported. *)
+      Alcotest.(check (list string)) "three violations, in name order"
+        [ "unexpected file in store root"; "truncated header"; "payload digest mismatch" ]
+        (List.map (fun i -> i.Store.f_problem) r.Store.f_issues);
+      (* fsck quarantines the corrupt entries; the foreign file is only
+         reported. *)
+      Alcotest.(check int) "both corrupt entries quarantined" 2 r.Store.f_quarantined;
+      Alcotest.(check bool) "foreign file left alone" true (Sys.file_exists foreign);
       Sys.remove foreign;
       let r2 = Store.fsck ~dir:store_dir in
       Alcotest.(check bool) "second run comes back clean" true (Store.fsck_clean r2);
@@ -212,24 +262,9 @@ let test_fsck_flags_and_heals_violations () =
 let test_fsck_reclaims_stale_tmp_only () =
   with_store (fun () ->
       Store.save ~key:"tmp-anchor" ~digest:"test" (dummy_run 1);
-      let v2 = path_exn "tmp-anchor" in
-      let shard_dir = Filename.dirname v2 in
-      let dead_pid =
-        let pid =
-          Unix.create_process "/bin/true" [| "/bin/true" |] Unix.stdin Unix.stdout
-            Unix.stderr
-        in
-        ignore (Unix.waitpid [] pid);
-        pid
-      in
-      let stale = Filename.concat shard_dir (Printf.sprintf ".tmp-%d-0-x.run" dead_pid) in
-      let young = Filename.concat shard_dir (Printf.sprintf ".tmp-%d-1-y.run" dead_pid) in
-      List.iter
-        (fun p ->
-          let oc = open_out p in
-          output_string oc "torn";
-          close_out oc)
-        [ stale; young ];
+      let tmp n = Filename.concat store_dir (Printf.sprintf ".tmp-%d-%s.run" (Unix.getpid ()) n) in
+      let stale = tmp "0-x" and young = tmp "1-y" in
+      List.iter (fun p -> write_file p "torn") [ stale; young ];
       let old = Unix.time () -. 120. in
       Unix.utimes stale old old;
       let r = Store.fsck ~dir:store_dir in
@@ -277,6 +312,10 @@ let test_env_validation_fails_loudly () =
   check_env_error
     [ ("CHEX86_FAULT_POINT", "store.publish.pre_rename=torn:x") ]
     "torn:x";
+  (* Only kill, enospc and torn: are actions. *)
+  check_env_error
+    [ ("CHEX86_FAULT_POINT", "store.publish.pre_rename=crash") ]
+    "unknown action \"crash\"";
   (* No daemon.* points are compiled in. *)
   check_env_error [ ("CHEX86_FAULT_POINT", "daemon.accept=kill") ] "\"daemon.accept\"";
   with_env [ ("CHEX86_FAULT_RATE", "0.25"); ("CHEX86_FAULT_SEED", "7") ] (fun () ->
@@ -286,15 +325,15 @@ let test_env_validation_fails_loudly () =
 
 let test_points_of_spec () =
   (match
-     Faultinject.points_of_spec "store.publish.pre_rename=kill@3,store.load.pre_read=delay:0.5"
+     Faultinject.points_of_spec "store.publish.pre_rename=kill@3,store.load.pre_read=torn:10"
    with
   | Ok [ (p1, s1); (p2, s2) ] ->
     Alcotest.(check string) "first point" "store.publish.pre_rename" p1;
     Alcotest.(check bool) "kill at 3" true
       (s1.Faultinject.action = Faultinject.Point_kill && s1.Faultinject.arm_at = 3);
     Alcotest.(check string) "second point" "store.load.pre_read" p2;
-    Alcotest.(check bool) "delay action" true
-      (s2.Faultinject.action = Faultinject.Point_delay 0.5)
+    Alcotest.(check bool) "torn action, fires once" true
+      (s2.Faultinject.action = Faultinject.Point_torn 10 && s2.Faultinject.arm_at = 1)
   | Ok _ -> Alcotest.fail "expected two points"
   | Error msg -> Alcotest.fail msg);
   (match Faultinject.points_of_spec "store.publish.pre_rename=kill@zero" with
@@ -313,7 +352,7 @@ let test_torn_point_never_publishes () =
            { Faultinject.action = Faultinject.Point_torn 10; arm_at = 1 }) ];
       Store.save ~key:"torn" ~digest:"test" (dummy_run 1);
       Faultinject.disarm_points ();
-      (* The publish went through but with a torn payload: the link
+      (* The publish went through but with a torn payload: the rename
          published the truncated file, which the loader must reject. *)
       Alcotest.(check bool) "torn entry never served" true
         (Store.load ~key:"torn" ~digest:"test" = None);
@@ -344,7 +383,7 @@ let chaos_soak_exe () =
   if Sys.file_exists candidate then Some candidate else None
 
 let parse_counter line name =
-  (* "writes=3 race_lost=2 ..." *)
+  (* "writes=3 hits=0 ..." *)
   let tokens = String.split_on_char ' ' (String.trim line) in
   let prefix = name ^ "=" in
   match
@@ -397,26 +436,30 @@ let test_multiprocess_writers () =
     let la = read_child a and lb = read_child b in
     Sys.remove (Filename.concat store_dir "go");
     let sum name = parse_counter la name + parse_counter lb name in
-    (* Exactly one winner per key: every contested key was published
-       once, every private key once, and every lost race was counted
-       as such — no double wins, no corruption, no quarantines. *)
-    Alcotest.(check int) "one winner per key" (shared + (2 * disjoint)) (sum "writes");
-    Alcotest.(check int) "losers counted race_lost" shared (sum "race_lost");
+    (* Every publish lands: a contested key's second rename replaces an
+       equal entry, so no publish fails, nothing is corrupt and no tmp
+       file outlives its writer. *)
+    Alcotest.(check int) "every publish landed" (2 * (shared + disjoint)) (sum "writes");
     Alcotest.(check int) "no quarantined entries" 0 (sum "quarantined");
     Alcotest.(check int) "no write errors" 0 (sum "write_errors");
+    Alcotest.(check (list string)) "no .tmp- file left" []
+      (List.filter (String.starts_with ~prefix:".tmp-") (root_listing ()));
     let r = Store.fsck ~dir:store_dir in
     Alcotest.(check bool) "fsck clean after the stampede" true (Store.fsck_clean r);
-    Alcotest.(check int) "all entries on disk" (shared + (2 * disjoint)) r.Store.f_ok
+    Alcotest.(check int) "one entry per key" (shared + (2 * disjoint)) r.Store.f_ok
 
 let () =
   Alcotest.run "store"
     [
       ( "layout",
         [
-          Alcotest.test_case "sharded v2 layout" `Quick test_sharded_layout;
+          Alcotest.test_case "flat layout" `Quick test_flat_layout;
+          Alcotest.test_case "old objects/ layout never served" `Quick
+            test_old_layout_never_served;
           Alcotest.test_case "legacy v1 entry is a miss" `Quick
             test_legacy_v1_entry_is_a_miss;
-          Alcotest.test_case "lost race is a hit" `Quick test_lost_race_is_a_hit;
+          Alcotest.test_case "second publish replaces the entry" `Quick
+            test_second_publish_replaces;
         ] );
       ( "resilience",
         [
@@ -443,7 +486,7 @@ let () =
         [ Alcotest.test_case "backoff cap holds" `Quick test_backoff_cap_holds ] );
       ( "multiprocess",
         [
-          Alcotest.test_case "two writers, one winner per key" `Quick
+          Alcotest.test_case "two writers, every publish lands" `Quick
             test_multiprocess_writers;
         ] );
     ]

@@ -245,25 +245,12 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-(* Published entries anywhere in the store tree, as full paths. *)
+(* Published entries in the store directory, as full paths. *)
 let store_entries () =
-  let acc = ref [] in
-  let scan dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | names ->
-      Array.iter
-        (fun name ->
-          if Filename.check_suffix name ".run" && String.length name > 0 && name.[0] <> '.'
-          then acc := Filename.concat dir name :: !acc)
-        names
-  in
-  scan store_dir;
-  (match Sys.readdir (Filename.concat store_dir "objects") with
-  | exception Sys_error _ -> ()
-  | shards ->
-    Array.iter (fun s -> scan (Filename.concat (Filename.concat store_dir "objects") s)) shards);
-  List.sort compare !acc
+  Sys.readdir store_dir |> Array.to_list
+  |> List.filter (fun name -> Filename.check_suffix name ".run" && name.[0] <> '.')
+  |> List.map (Filename.concat store_dir)
+  |> List.sort compare
 
 let the_store_entry () =
   match store_entries () with
@@ -394,47 +381,33 @@ let test_prefetch_supervised_records_faults () =
       Alcotest.(check int) "nothing re-attempted" 0 report2.Pool.tasks)
 
 let test_tmp_reclamation () =
-  (* Stale .tmp-<pid>-* files from a killed sweep are swept on
-     configure; a live writer's tmp files are left alone, and so is a
-     dead writer's file younger than the safety age — between the
-     liveness probe and the unlink the pid could have been recycled by
-     a brand-new writer (runner.ml pid-reuse hazard). *)
+  (* Stale .tmp-* files from a killed sweep are swept on configure.  Age
+     alone decides: a tmp file lives for one entry write, so one older
+     than a minute goes even when it is named for a live writer (this
+     process), and a young one stays, whoever wrote it. *)
   with_store (fun () ->
       (try Unix.mkdir store_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let dead_pid =
-        (* A pid guaranteed dead: a reaped child. (Unix.fork is off
-           limits once domains exist; create_process is not.) *)
-        let pid =
-          Unix.create_process "/bin/true" [| "/bin/true" |] Unix.stdin Unix.stdout
-            Unix.stderr
-        in
-        ignore (Unix.waitpid [] pid);
-        pid
-      in
-      let dead_old = Filename.concat store_dir (Printf.sprintf ".tmp-%d-x.run" dead_pid) in
-      let dead_young =
-        Filename.concat store_dir (Printf.sprintf ".tmp-%d-z.run" dead_pid)
-      in
-      let mine =
-        Filename.concat store_dir (Printf.sprintf ".tmp-%d-y.run" (Unix.getpid ()))
-      in
+      let tmp writer n = Filename.concat store_dir (Printf.sprintf ".tmp-%d-%s.run" writer n) in
+      (* pid 1 stands for another writer that is alive. *)
+      let other_old = tmp 1 "x" and other_young = tmp 1 "z" in
+      let mine_old = tmp (Unix.getpid ()) "w" and mine_young = tmp (Unix.getpid ()) "y" in
       List.iter
         (fun p ->
           let oc = open_out p in
           output_string oc "torn write";
           close_out oc)
-        [ dead_old; dead_young; mine ];
-      (* Age one dead tmp past the safety floor; the other stays at
-         mtime now. *)
+        [ other_old; other_young; mine_old; mine_young ];
       let old = Unix.time () -. 120. in
-      Unix.utimes dead_old old old;
+      List.iter (fun p -> Unix.utimes p old old) [ other_old; mine_old ];
       Runner.Store.configure ~dir:store_dir;
-      Alcotest.(check bool) "dead writer's aged tmp reclaimed" false
-        (Sys.file_exists dead_old);
-      Alcotest.(check bool) "dead writer's young tmp kept (pid reuse guard)" true
-        (Sys.file_exists dead_young);
-      Alcotest.(check bool) "live writer's tmp kept" true (Sys.file_exists mine);
-      Alcotest.(check int) "reclamation counted" 1
+      Alcotest.(check bool) "another writer's aged tmp reclaimed" false
+        (Sys.file_exists other_old);
+      Alcotest.(check bool) "this live writer's aged tmp reclaimed" false
+        (Sys.file_exists mine_old);
+      Alcotest.(check bool) "another writer's young tmp kept" true
+        (Sys.file_exists other_young);
+      Alcotest.(check bool) "this writer's young tmp kept" true (Sys.file_exists mine_young);
+      Alcotest.(check int) "reclamation counted" 2
         (Runner.Store.stats ()).Runner.Store.tmp_reclaimed)
 
 let test_store_marshal_guard () =
