@@ -23,12 +23,17 @@ test-checked:
 	dune runtest --profile checked --build-dir _build_checked
 
 # Quick end-to-end sanity: a figure-6 sweep on three representative
-# workloads, sharded over 2 worker domains in batched chunks.
-# Exercises the domain pool, batched dispatch, the memo prefetch, and
-# the stats merge path in one run.
+# workloads, then the victim-cache ablation, sharded over 2 worker
+# domains in batched chunks.  Exercises the domain pool, batched
+# dispatch and the shared cells: the ablation adds 10 tasks to
+# figure 6's 18, because its mcf and canneal "with victim" cells are
+# figure 6's prediction runs.
 smoke: build
+	rm -f /tmp/chex86-smoke-metrics.json
 	CHEX86_WORKLOADS=mcf,canneal,freqmine CHEX86_SCALE=1 \
-		dune exec bench/main.exe -- --jobs 2 --batch-size 2 figure6
+		dune exec bench/main.exe -- --jobs 2 --batch-size 2 \
+		--metrics /tmp/chex86-smoke-metrics.json figure6 ablation-victim
+	grep -F '"pool.tasks":28' /tmp/chex86-smoke-metrics.json > /dev/null
 
 # Supervision sanity: with deterministic fault injection armed, the
 # sweep must still complete (exit 0, non-empty fault report); the same
@@ -128,7 +133,9 @@ security-matrix: build
 # resumed and byte-compared against a fault-free reference, plus an
 # explicit `chex86_sim store fsck` pass over a freshly written store.
 # The same sweep re-run warm must be served from the store: all 12
-# cells hit, none is simulated or written again.
+# cells hit, none is simulated or written again.  The cold and warm
+# runs repeat at --workers 2 in a fresh directory, where the workers'
+# store counts must reach the supervisor's --metrics.
 # Reports land in /tmp for CI artifact upload.
 store-smoke: build
 	./_build/default/test/chaos_soak.exe --legs 7 --seed 42 \
@@ -147,6 +154,19 @@ store-smoke: build
 	./_build/default/bin/chex86_sim.exe store fsck \
 		--cache-dir /tmp/chex86-store-smoke-cache \
 		--out /tmp/chex86-fsck.json
+	rm -rf /tmp/chex86-store-smoke-cache
+	CHEX86_WORKLOADS=mcf,canneal CHEX86_SCALE=1 \
+		dune exec bench/main.exe -- --workers 2 figure6 \
+		--cache-dir /tmp/chex86-store-smoke-cache \
+		--metrics /tmp/chex86-store-cold-workers.json > /dev/null
+	grep -F '"hits":0,"misses":12,"writes":12' \
+		/tmp/chex86-store-cold-workers.json > /dev/null
+	CHEX86_WORKLOADS=mcf,canneal CHEX86_SCALE=1 \
+		dune exec bench/main.exe -- --workers 2 figure6 \
+		--cache-dir /tmp/chex86-store-smoke-cache \
+		--metrics /tmp/chex86-store-warm-workers.json > /dev/null
+	grep -F '"hits":12,"misses":0,"writes":0' \
+		/tmp/chex86-store-warm-workers.json > /dev/null
 	rm -rf /tmp/chex86-store-smoke-cache
 
 check: build test smoke fault-smoke remote-smoke trace-smoke \

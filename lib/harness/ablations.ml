@@ -9,203 +9,144 @@
    - alias-predictor stride field and non-reload blacklist;
    - the TLB alias-hosting filter (how many shadow lookups it saves);
    - the 32-entry alias victim cache;
-   - context-sensitive scope (enforced text fraction vs micro-op bloat). *)
+   - context-sensitive scope (enforced text fraction vs micro-op bloat).
+
+   Each one is an Experiments.grid: one supervised sweep that shards
+   under --jobs/--workers, renders a faulted cell as FAULTED and appends
+   the fault report. *)
 
 module Render = Chex86_stats.Render
 module Counter = Chex86_stats.Counter
 module W = Chex86_workloads.Workloads
 
-let pointer_workloads = [ "perlbench"; "gcc"; "mcf"; "xalancbmk"; "leela"; "canneal" ]
+let pointer_workloads =
+  List.map W.find [ "perlbench"; "gcc"; "mcf"; "xalancbmk"; "leela"; "canneal" ]
 
 let scale = Experiments.scale
+let cell = Experiments.cell
 
-let run ~tag variant name =
-  Runner.run_workload ~tag ~scale (Runner.Chex variant) (W.find name)
+(* A column running [variant] on every workload. *)
+let column name variant = (name, Runner.job ~scale (Runner.Chex variant))
+
+(* A banner, a table with one row per workload, then the fault footer. *)
+let render ~title ~header ~notes row (runs, report) =
+  String.concat "\n"
+    ([ Render.banner title; Render.table ~header (List.map row runs) ]
+    @ notes @ Experiments.fault_footer report)
+
+let name_of (w : Chex86_workloads.Bench_spec.t) = w.name
 
 let cap_cache_sweep () =
   let sizes = [ 16; 32; 64; 128; 256 ] in
-  let rows =
+  let columns =
     List.map
-      (fun name ->
-        name
-        :: List.map
-             (fun entries ->
-               let variant =
-                 Chex86.Variant.make ~cap_cache_entries:entries
-                   Chex86.Variant.Microcode_prediction
-               in
-               let r = run ~tag:(Printf.sprintf "capsweep%d" entries) variant name in
-               Render.percent
-                 (Counter.ratio r.Runner.counters ~num:"capcache.miss" ~den:"capcache.hit"))
-             sizes)
-      pointer_workloads
+      (fun entries ->
+        column (Printf.sprintf "%de" entries)
+          (Chex86.Variant.make ~cap_cache_entries:entries Chex86.Variant.Microcode_prediction))
+      sizes
   in
-  String.concat "\n"
-    [
-      Render.banner "Ablation: capability cache size sweep (miss rate)";
-      Render.table
-        ~header:("Benchmark" :: List.map (fun s -> Printf.sprintf "%de" s) sizes)
-        rows;
-    ]
+  render ~title:"Ablation: capability cache size sweep (miss rate)" ~notes:[]
+    ~header:("Benchmark" :: List.map fst columns)
+    (fun (w, cells) ->
+      name_of w
+      :: List.map
+           (fun (_, c) ->
+             cell (fun r -> Render.percent (Experiments.cap_miss_rate r.Runner.counters)) c)
+           cells)
+    (Experiments.grid columns pointer_workloads)
 
 let predictor_ablation () =
-  let configs =
+  let columns =
     [
-      ("full", Chex86.Variant.make Chex86.Variant.Microcode_prediction);
-      ( "no stride",
-        Chex86.Variant.make ~predictor_stride:false Chex86.Variant.Microcode_prediction );
-      ( "no blacklist",
-        Chex86.Variant.make ~predictor_blacklist:false Chex86.Variant.Microcode_prediction
-      );
+      column "full" Chex86.Variant.default;
+      column "no stride"
+        (Chex86.Variant.make ~predictor_stride:false Chex86.Variant.Microcode_prediction);
+      column "no blacklist"
+        (Chex86.Variant.make ~predictor_blacklist:false Chex86.Variant.Microcode_prediction);
     ]
   in
-  let rows =
-    List.map
-      (fun name ->
-        name
-        :: List.concat_map
-             (fun (tag, variant) ->
-               let r = run ~tag:("pred-" ^ tag) variant name in
-               let c = r.Runner.counters in
-               let events = Counter.get c "alias.pred_events" in
-               let wrong =
-                 Counter.get c "alias.pred_pna0"
-                 + Counter.get c "alias.pred_p0an"
-                 + Counter.get c "alias.pred_pman"
-               in
-               [
-                 (if events = 0 then "n/a"
-                  else Render.percent (float_of_int wrong /. float_of_int events));
-                 string_of_int (Counter.get c "pipeline.uops_killed");
-               ])
-             configs)
-      pointer_workloads
-  in
-  String.concat "\n"
-    [
-      Render.banner "Ablation: alias predictor features (mispredict rate / killed uops)";
-      Render.table
-        ~header:
-          [
-            "Benchmark";
-            "full";
-            "kills";
-            "no-stride";
-            "kills";
-            "no-blacklist";
-            "kills";
-          ]
-        rows;
-    ]
+  let mispredicts (r : Runner.run) =
+    if Counter.get r.counters "alias.pred_events" = 0 then "n/a"
+    else Render.percent (Experiments.mispredict_rate r.counters)
+  and kills (r : Runner.run) = string_of_int (Counter.get r.counters "pipeline.uops_killed") in
+  render ~title:"Ablation: alias predictor features (mispredict rate / killed uops)" ~notes:[]
+    ~header:[ "Benchmark"; "full"; "kills"; "no-stride"; "kills"; "no-blacklist"; "kills" ]
+    (fun (w, cells) ->
+      name_of w :: List.concat_map (fun (_, c) -> [ cell mispredicts c; cell kills c ]) cells)
+    (Experiments.grid columns pointer_workloads)
 
 let tlb_filter_ablation () =
-  let rows =
-    List.map
-      (fun name ->
-        let with_filter =
-          run ~tag:"tlb-on" (Chex86.Variant.make Chex86.Variant.Microcode_prediction) name
-        in
-        let without =
-          run ~tag:"tlb-off"
-            (Chex86.Variant.make ~tlb_alias_filter:false
-               Chex86.Variant.Microcode_prediction)
-            name
-        in
-        let accesses (r : Runner.run) =
-          Counter.get r.Runner.counters "aliascache.hit"
-          + Counter.get r.Runner.counters "aliascache.victim_hit"
-          + Counter.get r.Runner.counters "aliascache.miss"
-        in
-        let filtered = Counter.get with_filter.Runner.counters "alias.tlb_filtered" in
-        [
-          name;
-          string_of_int (accesses with_filter);
-          string_of_int (accesses without);
-          string_of_int filtered;
-          (let a = accesses without in
-           if a = 0 then "n/a"
-           else Render.percent (1. -. (float_of_int (accesses with_filter) /. float_of_int a)));
-        ])
-      pointer_workloads
-  in
-  String.concat "\n"
+  let columns =
     [
-      Render.banner "Ablation: TLB alias-hosting filter (alias-cache lookups saved)";
-      Render.table
-        ~header:[ "Benchmark"; "Lookups (filter)"; "Lookups (none)"; "TLB-filtered"; "Saved" ]
-        rows;
+      column "on" Chex86.Variant.default;
+      column "off"
+        (Chex86.Variant.make ~tlb_alias_filter:false Chex86.Variant.Microcode_prediction);
     ]
+  in
+  let accesses (r : Runner.run) =
+    Counter.get r.counters "aliascache.hit"
+    + Counter.get r.counters "aliascache.victim_hit"
+    + Counter.get r.counters "aliascache.miss"
+  in
+  let saved (on : Runner.run) (off : Runner.run) =
+    let a = accesses off in
+    if a = 0 then "n/a" else Render.percent (1. -. (float_of_int (accesses on) /. float_of_int a))
+  in
+  render ~title:"Ablation: TLB alias-hosting filter (alias-cache lookups saved)" ~notes:[]
+    ~header:[ "Benchmark"; "Lookups (filter)"; "Lookups (none)"; "TLB-filtered"; "Saved" ]
+    (fun (w, cells) ->
+      let on = List.assoc "on" cells and off = List.assoc "off" cells in
+      [
+        name_of w;
+        cell (fun r -> string_of_int (accesses r)) on;
+        cell (fun r -> string_of_int (accesses r)) off;
+        cell (fun r -> string_of_int (Counter.get r.Runner.counters "alias.tlb_filtered")) on;
+        cell (fun on -> cell (saved on) off) on;
+      ])
+    (Experiments.grid columns pointer_workloads)
 
 let victim_cache_ablation () =
-  let miss (r : Runner.run) =
-    let hit = Counter.get r.Runner.counters "aliascache.hit"
-    and victim = Counter.get r.Runner.counters "aliascache.victim_hit"
-    and miss = Counter.get r.Runner.counters "aliascache.miss" in
-    if hit + victim + miss < 200 then None
-    else Some (float_of_int miss /. float_of_int (hit + victim + miss))
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let with_victim =
-          run ~tag:"vc-on" (Chex86.Variant.make Chex86.Variant.Microcode_prediction) name
-        in
-        let without =
-          run ~tag:"vc-off"
-            (Chex86.Variant.make ~alias_victim_entries:0
-               Chex86.Variant.Microcode_prediction)
-            name
-        in
-        let opt = function Some r -> Render.percent r | None -> "n/a" in
-        [ name; opt (miss with_victim); opt (miss without) ])
-      pointer_workloads
-  in
-  String.concat "\n"
+  let columns =
     [
-      Render.banner "Ablation: 32-entry alias victim cache (alias-cache miss rate)";
-      Render.table ~header:[ "Benchmark"; "with victim"; "no victim" ] rows;
+      column "with victim" Chex86.Variant.default;
+      column "no victim"
+        (Chex86.Variant.make ~alias_victim_entries:0 Chex86.Variant.Microcode_prediction);
     ]
+  in
+  let miss (r : Runner.run) =
+    match Experiments.alias_miss_rate r.counters with Some m -> Render.percent m | None -> "n/a"
+  in
+  render ~title:"Ablation: 32-entry alias victim cache (alias-cache miss rate)" ~notes:[]
+    ~header:("Benchmark" :: List.map fst columns)
+    (fun (w, cells) -> name_of w :: List.map (fun (_, c) -> cell miss c) cells)
+    (Experiments.grid columns pointer_workloads)
 
 (* Context sensitivity: enforce only a prefix of the text segment and
    watch injected micro-ops fall while allocations stay tracked. *)
 let scope_sweep () =
   let fractions = [ 0; 25; 50; 75; 100 ] in
-  let rows =
+  let columns =
     List.map
-      (fun name ->
-        let w = W.find name in
-        let program = w.Chex86_workloads.Bench_spec.build ~scale in
-        let text_len = 4 * Chex86_isa.Program.length program in
-        name
-        :: List.map
-             (fun pct ->
-               let hi = Chex86_isa.Program.text_base + (text_len * pct / 100) in
-               let scope =
-                 Chex86.Variant.Ranges [ (Chex86_isa.Program.text_base, hi) ]
-               in
-               let variant =
-                 Chex86.Variant.make ~scope Chex86.Variant.Microcode_prediction
-               in
-               let r =
-                 Runner.run_workload ~tag:(Printf.sprintf "scope%d" pct) ~scale
-                   (Runner.Chex variant) w
-               in
-               Printf.sprintf "%.1f%%"
-                 (100.
-                 *. float_of_int r.Runner.uops_injected
-                 /. float_of_int (max 1 r.Runner.uops)))
-             fractions)
-      [ "perlbench"; "mcf"; "canneal" ]
+      (fun pct ->
+        ( Printf.sprintf "%d%%" pct,
+          fun (w : Chex86_workloads.Bench_spec.t) ->
+            let text_len = 4 * Chex86_isa.Program.length (w.build ~scale) in
+            let lo = Chex86_isa.Program.text_base in
+            let scope = Chex86.Variant.Ranges [ (lo, lo + (text_len * pct / 100)) ] in
+            Runner.job ~scale
+              (Runner.Chex (Chex86.Variant.make ~scope Chex86.Variant.Microcode_prediction))
+              w ))
+      fractions
   in
-  String.concat "\n"
-    [
-      Render.banner
-        "Ablation: context-sensitive scope (injected uop share vs enforced text fraction)";
-      Render.table
-        ~header:("Benchmark" :: List.map (fun p -> Printf.sprintf "%d%%" p) fractions)
-        rows;
-      "(allocations are tracked at every scope; only check injection is scoped)";
-    ]
+  let injected (r : Runner.run) =
+    Printf.sprintf "%.1f%%" (100. *. float_of_int r.uops_injected /. float_of_int (max 1 r.uops))
+  in
+  render
+    ~title:"Ablation: context-sensitive scope (injected uop share vs enforced text fraction)"
+    ~header:("Benchmark" :: List.map fst columns)
+    ~notes:[ "(allocations are tracked at every scope; only check injection is scoped)" ]
+    (fun (w, cells) -> name_of w :: List.map (fun (_, c) -> cell injected c) cells)
+    (Experiments.grid columns (List.map W.find [ "perlbench"; "mcf"; "canneal" ]))
 
 let all =
   [

@@ -13,7 +13,7 @@ let die fmt =
 let common_flags_doc =
   "  --jobs N, -j N      worker domains to shard sweeps over (>= 1)\n\
   \  --batch-size N      tasks per dispatched chunk (>= 1, or 'auto': ~4 chunks/worker)\n\
-  \  --strict            exit 1 if any task faulted; unknown CHEX86_WORKLOADS error\n\
+  \  --strict            exit 1 if any task faulted\n\
   \  --keep-going        report faults and continue (default)\n\
   \  --cache-dir DIR     on-disk result store location (default _chex86_cache)\n\
   \  --no-cache          disable the on-disk result store\n\

@@ -6,10 +6,11 @@
    prose (e.g. "59% faster than ASan on SPEC").  EXPERIMENTS.md records
    the paper-vs-measured comparison produced from these.
 
-   All the sweeps here go through the batched dispatch path
-   (Runner.prefetch_supervised / Security.sweep_stats_supervised ride on
-   Pool.sweep), so --jobs/--batch-size apply uniformly and the
-   rendered output is bit-identical at any (jobs, batch) geometry. *)
+   Every (workload x configuration) figure declares its cells once, as a
+   [grid] of columns, and reads them back from one Runner.sweep; the
+   security sweep rides Security.sweep_stats_supervised.  Both run on
+   Pool.sweep, so --jobs/--batch-size apply uniformly and the rendered
+   output is bit-identical at any (jobs, batch) geometry. *)
 
 module Render = Chex86_stats.Render
 module Counter = Chex86_stats.Counter
@@ -35,47 +36,26 @@ let scale =
 
 (* CHEX86_WORKLOADS=mcf,canneal,freqmine trims every figure's sweep to
    the named workloads (smoke runs / make check); default is all 14.
-   Pure resolution so tests can exercise both strictness modes: unknown
-   names warn-and-ignore by default but are a hard error under
-   [~strict] (a strict run silently sweeping the wrong set would defeat
-   the point of --strict). *)
-let resolve_workloads ?(strict = false) ~all spec =
+   Pure resolution, so tests can exercise it.  An unknown name is an
+   error: a run that silently swept another set would publish numbers
+   for workloads nobody asked for. *)
+let resolve_workloads ~all spec =
   let requested =
-    String.split_on_char ',' spec |> List.map String.trim
-    |> List.filter (fun n -> n <> "")
+    String.split_on_char ',' spec |> List.map String.trim |> List.filter (fun n -> n <> "")
   in
-  match requested with
-  | [] -> Ok all
-  | _ ->
-    let known n =
-      List.exists (fun (w : Chex86_workloads.Bench_spec.t) -> w.name = n) all
-    in
-    let unknown = List.filter (fun n -> not (known n)) requested in
-    if strict && unknown <> [] then
-      Error
-        (Printf.sprintf "unknown workload(s): %s"
-           (String.concat ", " (List.map (Printf.sprintf "%S") unknown)))
-    else begin
-      List.iter
-        (fun n ->
-          Printf.eprintf "CHEX86_WORKLOADS: unknown workload %S (ignored)\n%!" n)
-        unknown;
-      let picked =
-        List.filter
-          (fun (w : Chex86_workloads.Bench_spec.t) -> List.mem w.name requested)
-          all
-      in
-      if picked = [] then begin
-        Printf.eprintf "CHEX86_WORKLOADS: no known workloads named; sweeping all %d\n%!"
-          (List.length all);
-        Ok all
-      end
-      else Ok picked
-    end
+  let known n = List.exists (fun (w : Chex86_workloads.Bench_spec.t) -> w.name = n) all in
+  match List.filter (fun n -> not (known n)) requested with
+  | [] when requested = [] -> Ok all
+  | [] ->
+    Ok (List.filter (fun (w : Chex86_workloads.Bench_spec.t) -> List.mem w.name requested) all)
+  | unknown ->
+    Error
+      (Printf.sprintf "unknown workload(s): %s"
+         (String.concat ", " (List.map (Printf.sprintf "%S") unknown)))
 
-(* Resolved on first use — after the CLI has parsed --strict — and
-   cached; a strict run with a bad CHEX86_WORKLOADS exits 2 before any
-   simulation starts. *)
+(* Resolved on first use and cached, so a binary that never sweeps a
+   figure ignores the variable; a bad CHEX86_WORKLOADS exits 2 before
+   any simulation starts. *)
 let workloads_cache = ref None
 
 let workloads () =
@@ -86,7 +66,7 @@ let workloads () =
       match Sys.getenv_opt "CHEX86_WORKLOADS" with
       | None | Some "" -> W.all
       | Some s -> (
-        match resolve_workloads ~strict:(Pool.strict ()) ~all:W.all s with
+        match resolve_workloads ~all:W.all s with
         | Ok ws -> ws
         | Error msg ->
           Printf.eprintf "CHEX86_WORKLOADS: %s\n%!" msg;
@@ -101,6 +81,8 @@ let fault_cell = function
   | Pool.Crashed _ -> "FAULTED"
   | Pool.Worker_lost _ -> "LOST"
 
+let cell render = function Ok run -> render run | Error fault -> fault_cell fault
+
 (* Appended to a figure when its sweep had faults (also the marker
    [make fault-smoke] greps for). *)
 let fault_footer (report : Pool.fault_report) =
@@ -110,6 +92,21 @@ let fault_footer (report : Pool.fault_report) =
 
 let spec_names = List.map (fun (w : Chex86_workloads.Bench_spec.t) -> w.name) W.spec
 let is_spec name = List.mem name spec_names
+
+(* One supervised sweep over every (workload x column) cell.  A column
+   is a name and the job it runs on a workload; each row pairs a
+   workload with its cells, by column name, in column order.  A faulted
+   cell holds its fault, so a figure degrades that cell instead of
+   failing. *)
+let grid columns workloads =
+  let cells, report =
+    Runner.sweep (List.concat_map (fun w -> List.map (fun (_, job) -> job w) columns) workloads)
+  in
+  let cells = Array.of_list cells and width = List.length columns in
+  ( List.mapi
+      (fun i w -> (w, List.mapi (fun k (name, _) -> (name, cells.((i * width) + k))) columns))
+      workloads,
+    report )
 
 (* [None] over an empty set: an aggregate of nothing has no value, and
    any stand-in would print as a result ([0.] reads as a -100 %
@@ -186,20 +183,15 @@ let figure1 () =
 (* --- Figure 3 ------------------------------------------------------------- *)
 
 let figure3 () =
-  let workloads = workloads () in
-  let report =
-    Runner.prefetch_supervised
-      (List.map
-         (fun w -> Runner.job ~timing:false ~profile:true ~scale Runner.insecure w)
-         workloads)
+  let runs, report =
+    grid
+      [ ("profile", Runner.job ~timing:false ~profile:true ~scale Runner.insecure) ]
+      (workloads ())
   in
   let rows =
     List.map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        match
-          Runner.run_workload_result ~timing:false ~profile:true ~scale Runner.insecure
-            w
-        with
+      (fun ((w : Chex86_workloads.Bench_spec.t), cells) ->
+        match List.assoc "profile" cells with
         | Ok { Runner.profile = Some p; _ } ->
           [
             w.name;
@@ -211,7 +203,7 @@ let figure3 () =
         | Error fault ->
           let cell = fault_cell fault in
           [ w.name; cell; cell; cell ])
-      workloads
+      runs
   in
   String.concat "\n"
     ([
@@ -237,26 +229,13 @@ let fig6_configs =
     ("ASan", Runner.Asan);
   ]
 
-(* Shared by Figure 6 and Table IV.  Each cell is a supervised result:
-   a faulted (workload x config) run degrades that workload's derived
-   numbers instead of killing both targets. *)
+(* Shared by Figure 6 and Table IV: a faulted (workload x config) run
+   degrades that workload's derived numbers instead of killing both
+   targets. *)
 let fig6_runs () =
-  let workloads = workloads () in
-  let report =
-    Runner.prefetch_supervised
-      (List.concat_map
-         (fun w ->
-           List.map (fun (_, config) -> Runner.job ~scale config w) fig6_configs)
-         workloads)
-  in
-  ( List.map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        ( w,
-          List.map
-            (fun (name, config) -> (name, Runner.run_workload_result ~scale config w))
-            fig6_configs ))
-      workloads,
-    report )
+  grid
+    (List.map (fun (name, config) -> (name, Runner.job ~scale config)) fig6_configs)
+    (workloads ())
 
 let figure6 () =
   let runs, report = fig6_runs () in
@@ -377,45 +356,22 @@ let cap_miss_rate counters =
   Counter.ratio counters ~num:"capcache.miss" ~den:"capcache.hit"
 
 let figure7 () =
-  let workloads = workloads () in
-  let report =
-    Runner.prefetch_supervised
-      (List.concat_map
-         (fun w ->
-           [
-             Runner.job ~tag:"cc64" ~scale
-               (cache_variant ~cap_entries:64 ~alias_sets:128)
-               w;
-             Runner.job ~tag:"cc128" ~scale
-               (cache_variant ~cap_entries:128 ~alias_sets:256)
-               w;
-           ])
-         workloads)
+  let runs, report =
+    grid
+      [
+        ("small", Runner.job ~scale (cache_variant ~cap_entries:64 ~alias_sets:128));
+        ("big", Runner.job ~scale (cache_variant ~cap_entries:128 ~alias_sets:256));
+      ]
+      (workloads ())
   in
+  let cap run = Render.percent (cap_miss_rate run.Runner.counters)
+  and alias run = or_na Render.percent (alias_miss_rate run.Runner.counters) in
   let rows =
     List.map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        let small =
-          Runner.run_workload_result ~tag:"cc64" ~scale
-            (cache_variant ~cap_entries:64 ~alias_sets:128)
-            w
-        and big =
-          Runner.run_workload_result ~tag:"cc128" ~scale
-            (cache_variant ~cap_entries:128 ~alias_sets:256)
-            w
-        in
-        let opt = function Some r -> Render.percent r | None -> "n/a" in
-        let cap run = Render.percent (cap_miss_rate run.Runner.counters)
-        and alias run = opt (alias_miss_rate run.Runner.counters) in
-        let cell f = function Ok run -> f run | Error fault -> fault_cell fault in
-        [
-          w.name;
-          cell cap small;
-          cell cap big;
-          cell alias small;
-          cell alias big;
-        ])
-      workloads
+      (fun ((w : Chex86_workloads.Bench_spec.t), cells) ->
+        let small = List.assoc "small" cells and big = List.assoc "big" cells in
+        [ w.name; cell cap small; cell cap big; cell alias small; cell alias big ])
+      runs
   in
   String.concat "\n"
     ([
@@ -450,50 +406,39 @@ let predictor_variant entries =
     (Chex86.Variant.make ~predictor_entries:entries Chex86.Variant.Microcode_prediction)
 
 let figure8 () =
-  let workloads = workloads () in
-  let report =
-    Runner.prefetch_supervised
-      (List.concat_map
-         (fun w ->
-           [
-             Runner.job ~tag:"pred1024" ~scale (predictor_variant 1024) w;
-             Runner.job ~tag:"pred2048" ~scale (predictor_variant 2048) w;
-             Runner.job ~scale Runner.insecure w;
-             Runner.job ~scale Runner.prediction w;
-           ])
-         workloads)
+  let runs, report =
+    grid
+      [
+        ("p1024", Runner.job ~scale (predictor_variant 1024));
+        ("p2048", Runner.job ~scale (predictor_variant 2048));
+        ("base", Runner.job ~scale Runner.insecure);
+        ("pred", Runner.job ~scale Runner.prediction);
+      ]
+      (workloads ())
   in
-  let cell f = function Ok run -> f run | Error fault -> fault_cell fault in
+  let mispred run = Render.percent (mispredict_rate run.Runner.counters)
+  and squash run = Render.percent (squash_fraction run) in
   let rows =
     List.map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        let p1024 =
-          Runner.run_workload_result ~tag:"pred1024" ~scale (predictor_variant 1024) w
-        and p2048 =
-          Runner.run_workload_result ~tag:"pred2048" ~scale (predictor_variant 2048) w
-        and base = Runner.run_workload_result ~scale Runner.insecure w
-        and pred = Runner.run_workload_result ~scale Runner.prediction w in
-        let mispred run = Render.percent (mispredict_rate run.Runner.counters)
-        and squash run = Render.percent (squash_fraction run) in
+      (fun ((w : Chex86_workloads.Bench_spec.t), cells) ->
+        let at name = List.assoc name cells in
         [
           w.name;
-          cell mispred p1024;
-          cell mispred p2048;
-          cell squash base;
-          cell squash pred;
+          cell mispred (at "p1024");
+          cell mispred (at "p2048");
+          cell squash (at "base");
+          cell squash (at "pred");
         ])
-      workloads
+      runs
   in
   (* Faulted runs drop out of the headline geomean. *)
   let accuracies =
     List.filter_map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        match
-          Runner.run_workload_result ~tag:"pred1024" ~scale (predictor_variant 1024) w
-        with
+      (fun (_, cells) ->
+        match List.assoc "p1024" cells with
         | Ok run -> Some (1. -. mispredict_rate run.Runner.counters)
         | Error _ -> None)
-      workloads
+      runs
   in
   String.concat "\n"
     ([
@@ -511,8 +456,7 @@ let figure8 () =
          rows;
        Printf.sprintf "Average alias prediction accuracy: %s%s"
          (or_na Render.percent (geomean accuracies))
-         (coverage ~what:"workloads" ~total:(List.length workloads)
-            (List.length accuracies));
+         (coverage ~what:"workloads" ~total:(List.length runs) (List.length accuracies));
      ]
     @ fault_footer report)
 
@@ -521,46 +465,35 @@ let figure8 () =
 let mb bytes = float_of_int bytes /. (1024. *. 1024.)
 
 let figure9 () =
-  let workloads = workloads () in
   let freq = 3.4e9 in
-  let report =
-    Runner.prefetch_supervised
-      (List.concat_map
-         (fun w ->
-           [
-             Runner.job ~scale Runner.insecure w;
-             Runner.job ~scale Runner.Asan w;
-             Runner.job ~scale Runner.prediction w;
-           ])
-         workloads)
+  let runs, report =
+    grid
+      [
+        ("base", Runner.job ~scale Runner.insecure);
+        ("asan", Runner.job ~scale Runner.Asan);
+        ("pred", Runner.job ~scale Runner.prediction);
+      ]
+      (workloads ())
   in
-  let cell f = function Ok run -> f run | Error fault -> fault_cell fault in
+  let storage (r : Runner.run) = Printf.sprintf "%.2f" (mb (r.resident_bytes + r.shadow_bytes)) in
+  let bandwidth (r : Runner.run) =
+    Printf.sprintf "%.0f"
+      (if r.cycles = 0 then 0.
+       else float_of_int r.mem_bytes /. (float_of_int r.cycles /. freq) /. (1024. *. 1024.))
+  in
   let rows =
     List.map
-      (fun (w : Chex86_workloads.Bench_spec.t) ->
-        let base = Runner.run_workload_result ~scale Runner.insecure w
-        and asan = Runner.run_workload_result ~scale Runner.Asan w
-        and pred = Runner.run_workload_result ~scale Runner.prediction w in
-        let storage (r : Runner.run) =
-          Printf.sprintf "%.2f" (mb (r.resident_bytes + r.shadow_bytes))
-        in
-        let bandwidth (r : Runner.run) =
-          Printf.sprintf "%.0f"
-            (if r.cycles = 0 then 0.
-             else
-               float_of_int r.mem_bytes
-               /. (float_of_int r.cycles /. freq)
-               /. (1024. *. 1024.))
-        in
+      (fun ((w : Chex86_workloads.Bench_spec.t), cells) ->
+        let at name = List.assoc name cells in
         [
           w.name;
-          cell storage base;
-          cell storage asan;
-          cell storage pred;
-          cell bandwidth base;
-          cell bandwidth pred;
+          cell storage (at "base");
+          cell storage (at "asan");
+          cell storage (at "pred");
+          cell bandwidth (at "base");
+          cell bandwidth (at "pred");
         ])
-      workloads
+      runs
   in
   String.concat "\n"
     ([

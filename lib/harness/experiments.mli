@@ -12,20 +12,49 @@ val scale : int
 val parse_scale : string -> (int, string) result
 
 (** Pure CHEX86_WORKLOADS resolution: the subset of [all] named by the
-    comma-separated [spec] (all of them for an empty spec). Unknown
-    names warn-and-ignore by default but are an [Error] under
-    [~strict]; if no known name remains, warns and sweeps [all]. *)
+    comma-separated [spec] (all of them for an empty spec), or an
+    [Error] naming every unknown name. *)
 val resolve_workloads :
-  ?strict:bool ->
   all:Chex86_workloads.Bench_spec.t list ->
   string ->
   (Chex86_workloads.Bench_spec.t list, string) result
 
 (** The workloads every figure sweeps: all 14, or the subset named by
     the CHEX86_WORKLOADS environment variable (comma-separated).
-    Resolved on first call — after the CLI has parsed [--strict] —
-    then cached; a strict run with unknown names exits 2. *)
+    Resolved on first call, then cached; an unknown name exits 2 with a
+    message naming it. *)
 val workloads : unit -> Chex86_workloads.Bench_spec.t list
+
+(** {2 The (workload x configuration) grid} *)
+
+(** [grid columns workloads] runs every (workload x column) cell in one
+    {!Runner.sweep}. A column is a name and the job it runs on a
+    workload; each row pairs a workload with its cells, by column name
+    in column order. Figures 3 and 6–9, Table IV and every ablation
+    declare their cells this way. *)
+val grid :
+  (string * (Chex86_workloads.Bench_spec.t -> Runner.job)) list ->
+  Chex86_workloads.Bench_spec.t list ->
+  (Chex86_workloads.Bench_spec.t * (string * (Runner.run, Pool.fault) result) list) list
+  * Pool.fault_report
+
+(** [cell render c] renders a completed cell with [render] and a faulted
+    one as FAULTED (a crash) or LOST (a lost worker). *)
+val cell : (Runner.run -> string) -> (Runner.run, Pool.fault) result -> string
+
+(** The lines a target appends when its sweep had faults: a blank line
+    and the rendered fault report; nothing otherwise. *)
+val fault_footer : Pool.fault_report -> string list
+
+(** Capability-cache miss rate: misses over hits plus misses. *)
+val cap_miss_rate : Chex86_stats.Counter.group -> float
+
+(** Alias-cache miss rate over hits, victim hits and misses; [None]
+    under 200 accesses, where the rate is noise. *)
+val alias_miss_rate : Chex86_stats.Counter.group -> float option
+
+(** Alias mispredictions per prediction event; 0 without events. *)
+val mispredict_rate : Chex86_stats.Counter.group -> float
 
 val figure1 : unit -> string
 

@@ -45,17 +45,6 @@ let of_list pairs =
     describe = Printf.sprintf "explicit plan over %d key(s)" (List.length pairs);
   }
 
-(* Private FNV-1a copy: the plan must not depend on Pool (Pool depends
-   on us), and pinning the hash keeps plans stable across stdlib
-   changes, like Pool.seed_of_key. *)
-let fnv1a s =
-  let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Int64.to_int !h land max_int
-
 let seeded ?directive ~rate ~seed () =
   let directive = match directive with Some d -> d | None -> crash () in
   let rate = Float.max 0. (Float.min 1. rate) in
@@ -63,9 +52,8 @@ let seeded ?directive ~rate ~seed () =
   {
     lookup =
       (fun key ->
-        if fnv1a (string_of_int seed ^ "\x00" ^ key) mod 1_000_000 < threshold then
-          Some directive
-        else None);
+        let h = Chex86_stats.Rng.seed_of_key (string_of_int seed ^ "\x00" ^ key) in
+        if h mod 1_000_000 < threshold then Some directive else None);
     describe = Printf.sprintf "seeded plan (rate %.3f, seed %d)" rate seed;
   }
 

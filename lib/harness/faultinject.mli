@@ -1,10 +1,10 @@
 (** Deterministic fault injection for the supervised sweep engine.
 
-    A plan maps a task's stable key (the same key [Pool] seeds RNG
-    streams from) to a fault directive, so injected faults hit exactly
-    the same tasks at any job count and across processes. Used by the
-    test suite and by [make fault-smoke] to prove every supervision
-    path fires; production sweeps run with no plan armed. *)
+    A plan maps a task's stable key (the sweep's task key) to a fault
+    directive, so injected faults hit exactly the same tasks at any job
+    count and across processes. Used by the test suite and by [make
+    fault-smoke] to prove every supervision path fires; production
+    sweeps run with no plan armed. *)
 
 (** Raised inside a task the armed plan marked [Crash]. *)
 exception Injected_crash of string

@@ -68,19 +68,6 @@ let strict () = Atomic.get current_strict
 let fault_count = Atomic.make 0
 let faults_seen () = Atomic.get fault_count
 
-(* Stable 64-bit FNV-1a over a key.  [Hashtbl.hash] would also be
-   deterministic, but spelling the hash out pins the seed derivation
-   against stdlib changes. *)
-let seed_of_key key =
-  let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    key;
-  (* Int64.to_int keeps the low 63 bits; mask the sign bit so the seed
-     is always non-negative. *)
-  Int64.to_int !h land max_int
-
 (* Run [compute ~slot i] for [i < n] across [jobs] workers.  [slot] is
    the worker's stable index in [0, jobs): the coordinator is slot 0 and
    each spawned domain keeps its own slot for the whole run, so a caller

@@ -31,20 +31,14 @@ val batch_size : unit -> int option
     load balancing without paying per-task dispatch on every task. *)
 val auto_batch_size : jobs:int -> int -> int
 
-(** --strict: faults flip the process exit code (and demote-to-error
-    behaviours like unknown CHEX86_WORKLOADS names). Rendering is the
-    same either way. *)
+(** --strict: faults flip the process exit code. Rendering is the same
+    either way. *)
 val set_strict : bool -> unit
 
 val strict : unit -> bool
 
 (** Total faults reported by every supervised sweep this process ran. *)
 val faults_seen : unit -> int
-
-(** Stable FNV-1a hash of a key: a seed that depends on the key alone,
-    never on worker identity or scheduling order (the remote layer's
-    respawn jitter and its self-test kind draw from it). *)
-val seed_of_key : string -> int
 
 (** {2 Supervised sweeps}
 

@@ -114,7 +114,7 @@ let () =
         done
       end;
       let rounds = Option.value ~default:8 (int_of_string_opt arg) in
-      let rng = Rng.create (Pool.seed_of_key key) in
+      let rng = Rng.create (Rng.seed_of_key key) in
       let sum = ref 0 in
       for _ = 1 to rounds do
         sum := !sum + Rng.int rng 1000
@@ -398,7 +398,7 @@ let backoff_delay ~sid ~restarts =
   let exp =
     Float.min max_backoff_delay (backoff_base *. (2. ** float_of_int (max 0 (restarts - 1))))
   in
-  let rng = Rng.create (Pool.seed_of_key (Printf.sprintf "respawn/%d/%d" sid restarts)) in
+  let rng = Rng.create (Rng.seed_of_key (Printf.sprintf "respawn/%d/%d" sid restarts)) in
   exp *. (1. +. (0.25 *. Rng.float rng))
 
 (* Both ends close on exec: slots spawn concurrently, and a sibling

@@ -87,7 +87,7 @@ val find_kind : string -> kind_fn option
 
 val selftest_kind : string
 (** Built-in kind for tests: returns the sum of [arg] draws from
-    [Rng.create (Pool.seed_of_key key)]. A key prefixed ["wedge"] first stops its
+    [Rng.create (Rng.seed_of_key key)]. A key prefixed ["wedge"] first stops its
     own process with SIGSTOP — the unresponsive worker the heartbeat
     exists for; a key prefixed ["long"] first spins for [arg] seconds
     without allocating — a healthy task longer than a heartbeat. *)

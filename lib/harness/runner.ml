@@ -187,7 +187,7 @@ let run_threads ?(timing = false) ?(max_insns = 50_000_000)
      <dir>/quarantine/              corrupt entries, kept for
                                     post-mortem instead of deleted
 
-   Regenerating every stored target writes 241 entries, so one directory
+   Regenerating every stored target writes 203 entries, so one directory
    listing stays small.
 
    Crash model (machine-checked by `chex86_sim store fsck` and the
@@ -246,6 +246,22 @@ module Store = struct
     Atomic.set quarantined 0;
     Atomic.set write_errors 0;
     Atomic.set degraded false
+
+  (* The counters one simulation moves, for a remote job's delta. *)
+  let traffic_counters = [ hits; misses; writes; discarded; quarantined; write_errors ]
+  let traffic () = List.map Atomic.get traffic_counters
+
+  (* The counts moved since [before], taken out of this process's counters. *)
+  let take_traffic before =
+    List.map2
+      (fun c b ->
+        let d = Atomic.get c - b in
+        ignore (Atomic.fetch_and_add c (-d));
+        d)
+      traffic_counters before
+
+  let add_traffic delta =
+    List.iter2 (fun c d -> ignore (Atomic.fetch_and_add c d)) traffic_counters delta
 
   let default_dir = "_chex86_cache"
   let quarantine_dirname = "quarantine"
@@ -657,8 +673,11 @@ let program_digest (p : Chex86_isa.Program.t) =
    it is shared by every domain of a parallel sweep, so all access goes
    through [memo_lock].  (Found by the jobs>=2 determinism sweep: an
    unsynchronized Hashtbl corrupts its bucket chains under concurrent
-   Hashtbl.add; test_parallel.ml keeps a regression test hammering it.) *)
-let memo : (string, run) Hashtbl.t = Hashtbl.create 64
+   Hashtbl.add; test_parallel.ml keeps a regression test hammering it.)
+   A cell holds the job's run or the fault a sweep classified it as: a
+   faulted job stays faulted for the rest of the process, so a later
+   target sharing the key renders the same FAULTED cell. *)
+let memo : (string, (run, Pool.fault) result) Hashtbl.t = Hashtbl.create 64
 let memo_lock = Mutex.create ()
 
 let memo_find key = Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key)
@@ -666,123 +685,87 @@ let memo_find key = Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key
 (* First publication wins, so concurrent computations of the same key
    still yield one canonical [run] value (physical equality of repeated
    [run_workload] calls is part of the API). *)
-let memo_publish key run =
+let memo_publish key cell =
   Mutex.protect memo_lock (fun () ->
       match Hashtbl.find_opt memo key with
       | Some existing -> existing
       | None ->
-        Hashtbl.add memo key run;
-        run)
+        Hashtbl.add memo key cell;
+        cell)
 
-(* Faults recorded by supervised prefetches, keyed like the memo. A
-   faulted job stays faulted for the rest of the process (later sweeps
-   sharing the key render the same FAULTED cell instead of silently
-   re-simulating), and the figure-assembly code asks here before
-   falling back to a blocking [run_workload]. *)
-let fault_table : (string, Pool.fault) Hashtbl.t = Hashtbl.create 16
-let fault_lock = Mutex.create ()
-
-let record_fault key fault =
-  Mutex.protect fault_lock (fun () -> Hashtbl.replace fault_table key fault)
-
-let fault_find key = Mutex.protect fault_lock (fun () -> Hashtbl.find_opt fault_table key)
 let faulted_jobs () =
-  Mutex.protect fault_lock (fun () ->
-      Hashtbl.fold (fun key fault acc -> (key, fault) :: acc) fault_table [])
+  Mutex.protect memo_lock (fun () ->
+      Hashtbl.fold
+        (fun key cell acc -> match cell with Error fault -> (key, fault) :: acc | Ok _ -> acc)
+        memo [])
   |> List.sort compare
 
-(* Store-aware cache fill: consult the on-disk store before simulating,
-   and persist fresh results.  [?configure] installs monitor hooks whose
-   effects the stored counters can't capture, so those runs bypass the
-   store entirely. *)
-let compute_run ~key ?(timing = true) ?(profile = false) ?configure config program =
-  match configure with
-  | Some _ -> run_program ~timing ~profile ?configure config program
-  | None ->
-    let digest = program_digest program in
-    (match Store.load ~key ~digest with
-    | Some run -> run
-    | None ->
-      let run = run_program ~timing ~profile config program in
-      Store.save ~key ~digest run;
-      run)
-
-(* A (workload x config) simulation task; its [job_key] is the memo key
-   of [run_workload], the store key, and the task key of a prefetch. *)
+(* A (workload x config) simulation task.  [j_key] is the memo key, the
+   store key and the sweep's task key: it names the workload, the µarch
+   preset, every field of the configuration, the scale, [timing] and
+   [profile], so two jobs share a key exactly when they would simulate
+   the same thing. *)
 type job = {
+  j_key : string;
   j_workload : Chex86_workloads.Bench_spec.t;
   j_config : config;
-  j_tag : string;
   j_timing : bool;
   j_profile : bool;
   j_scale : int;
 }
 
-let job ?(tag = "") ?(timing = true) ?(profile = false) ~scale config workload =
-  { j_workload = workload; j_config = config; j_tag = tag; j_timing = timing;
-    j_profile = profile; j_scale = scale }
+(* The scheme name keeps keys (and store slugs) readable; the digest of
+   the whole variant is what tells two configurations apart.  The
+   variant is plain immutable data, so equal variants marshal equal. *)
+let config_key = function
+  | Asan -> "ASan"
+  | Chex v ->
+    config_name (Chex v) ^ "/"
+    ^ Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
-let job_key j =
-  Printf.sprintf "%s/%s/%s/%d/%b/%b/%s" j.j_workload.name (preset_tag ())
-    (config_name j.j_config) j.j_scale j.j_timing j.j_profile j.j_tag
+let job ?(timing = true) ?(profile = false) ~scale config
+    (workload : Chex86_workloads.Bench_spec.t) =
+  {
+    j_key =
+      Printf.sprintf "%s/%s/%s/%d/%b/%b" workload.name (preset_tag ()) (config_key config)
+        scale timing profile;
+    j_workload = workload;
+    j_config = config;
+    j_timing = timing;
+    j_profile = profile;
+    j_scale = scale;
+  }
 
-let run_workload ?tag ?(timing = true) ?(profile = false) ?configure ~scale config
-    (w : Chex86_workloads.Bench_spec.t) =
-  let key = job_key (job ?tag ~timing ~profile ~scale config w) in
-  match memo_find key with
+let job_key j = j.j_key
+
+(* Store-aware simulation: consult the on-disk store before simulating,
+   and persist fresh results. *)
+let run_job j =
+  let program = j.j_workload.build ~scale:j.j_scale in
+  let digest = program_digest program in
+  match Store.load ~key:j.j_key ~digest with
   | Some run -> run
   | None ->
-    let run = compute_run ~key ~timing ~profile ?configure config (w.build ~scale) in
-    memo_publish key run
+    let run = run_program ~timing:j.j_timing ~profile:j.j_profile j.j_config program in
+    Store.save ~key:j.j_key ~digest run;
+    run
 
-(* [run_workload] that reports instead of running when a supervised
-   prefetch already classified this job as faulted. *)
-let run_workload_result ?tag ?(timing = true) ?(profile = false) ?configure ~scale
-    config (w : Chex86_workloads.Bench_spec.t) =
-  let key = job_key (job ?tag ~timing ~profile ~scale config w) in
-  match memo_find key with
-  | Some run -> Ok run
-  | None -> (
-    match fault_find key with
-    | Some fault -> Error fault
-    | None ->
-      Ok
-        (memo_publish key
-           (compute_run ~key ~timing ~profile ?configure config (w.build ~scale))))
-
-(* --- parallel prefetch ---------------------------------------------------- *)
-
-(* Simulate the not-yet-memoized jobs on the domain pool and publish the
-   results into the memo in job order; subsequent [run_workload] calls
-   (the serial figure-assembly code) hit the memo.  Each job builds its
-   own program and monitor, so jobs share no state; publishing in job
-   order keeps the memo's insertion order identical to a serial run. *)
-let dedup_jobs job_list =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun j ->
-      let key = job_key j in
-      if
-        Hashtbl.mem seen key
-        || Option.is_some (memo_find key)
-        || Option.is_some (fault_find key)
-      then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    job_list
-  |> Array.of_list
-
-let run_job j =
-  let key = job_key j in
-  compute_run ~key ~timing:j.j_timing ~profile:j.j_profile j.j_config
-    (j.j_workload.build ~scale:j.j_scale)
+let run_workload ?timing ?profile ~scale config w =
+  let j = job ?timing ?profile ~scale config w in
+  let cell =
+    match memo_find j.j_key with
+    | Some cell -> cell
+    | None -> memo_publish j.j_key (Ok (run_job j))
+  in
+  match cell with
+  | Ok run -> run
+  | Error fault -> failwith (Printf.sprintf "%s: %s" j.j_key (Pool.fault_to_string fault))
 
 (* Remote task kind: a job crosses the process boundary as its
-   workload's name plus the plain-data memo-key fields (Bench_spec.t
+   workload's name plus the plain-data fields [job] takes (Bench_spec.t
    holds a build closure, which can't be marshalled); the worker
-   re-looks the workload up in its own registry and runs the exact
+   re-looks the workload up in its own registry, rebuilds the job with
+   [job], so both sides compute the same key, and runs the exact
    [run_job] path — including its Store consultation, pointed at the
    supervisor's cache directory shipped with each chunk. *)
 let remote_kind = "bench"
@@ -790,7 +773,6 @@ let remote_kind = "bench"
 type remote_job_spec = {
   r_name : string;
   r_config : config;
-  r_tag : string;
   r_timing : bool;
   r_profile : bool;
   r_scale : int;
@@ -802,10 +784,14 @@ type remote_job_spec = {
 let remote_job_arg j =
   Marshal.to_string
     { r_name = j.j_workload.Chex86_workloads.Bench_spec.name; r_config = j.j_config;
-      r_tag = j.j_tag; r_timing = j.j_timing; r_profile = j.j_profile;
-      r_scale = j.j_scale; r_preset = (Machine.Preset.current ()).Machine.Preset.name }
+      r_timing = j.j_timing; r_profile = j.j_profile; r_scale = j.j_scale;
+      r_preset = (Machine.Preset.current ()).Machine.Preset.name }
     []
 
+(* The store counts a job moved leave the counters of the process that
+   ran it and ride back beside its run; the supervisor adds them to its
+   own, so [--metrics] counts them exactly once, whether the job ran in
+   a worker or in the supervisor's in-process fallback. *)
 let register_remote () =
   Remote.register_kind remote_kind (fun ~key:_ ~arg ->
       let spec : remote_job_spec = Marshal.from_string arg 0 in
@@ -813,11 +799,24 @@ let register_remote () =
       | Some p -> Machine.Preset.set p
       | None -> failwith ("unknown remote preset: " ^ spec.r_preset));
       let j =
-        { j_workload = Chex86_workloads.Workloads.find spec.r_name;
-          j_config = spec.r_config; j_tag = spec.r_tag; j_timing = spec.r_timing;
-          j_profile = spec.r_profile; j_scale = spec.r_scale }
+        job ~timing:spec.r_timing ~profile:spec.r_profile ~scale:spec.r_scale spec.r_config
+          (Chex86_workloads.Workloads.find spec.r_name)
       in
-      Marshal.to_string (run_job j : run) [])
+      let before = Store.traffic () in
+      let run = run_job j in
+      Marshal.to_string ((run, Store.take_traffic before) : run * int list) [])
+
+let remote_sweep ?batch_size todo =
+  register_remote ();
+  let payloads, report =
+    Remote.sweep ?batch_size ~kind:remote_kind ~key:job_key ~arg:remote_job_arg todo
+  in
+  let decode p =
+    let run, traffic = (Marshal.from_string p 0 : run * int list) in
+    Store.add_traffic traffic;
+    run
+  in
+  (Array.map (Result.map decode) payloads, report)
 
 (* Worker-side store wiring for Remote (which cannot depend on this
    module): the supervisor ships [Store.dir ()] with each chunk; the
@@ -851,42 +850,43 @@ let () =
               ] );
         ]
 
-(* The prefetch is supervised: a crashing job is recorded in the fault
-   table and the rest of the sweep completes (a mid-chunk fault only
-   claims the offending job).  With workers configured the
-   jobs run in worker processes instead ([?jobs] is ignored); a lost
-   worker surfaces as a [Pool.Worker_lost] fault on the job that was in
-   flight. *)
-let prefetch_supervised ?jobs ?batch_size job_list =
-  let todo = dedup_jobs job_list in
-  Trace.with_span ~stage:"sweep"
-    [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
-  @@ fun () ->
-  let results, report =
-    if Remote.enabled () && Array.length todo > 0 then begin
-      register_remote ();
-      let payloads, report =
-        Remote.sweep ?batch_size ~kind:remote_kind ~key:job_key
-          ~arg:remote_job_arg todo
-      in
-      let decode p = (Marshal.from_string p 0 : run) in
-      (Array.map (Result.map decode) payloads, report)
-    end
-    else Pool.sweep ?jobs ?batch_size ~key:job_key run_job todo
-  in
-  Array.iteri
-    (fun i result ->
-      let key = job_key todo.(i) in
-      match result with
-      | Ok run -> ignore (memo_publish key run)
-      | Error fault -> record_fault key fault)
-    results;
-  report
+(* --- the sweep ------------------------------------------------------------- *)
 
-(* Test hook: forget every memoized run and recorded fault so a test can
-   exercise the cold path repeatedly in one process. Store stats reset
-   too; the store directory itself is left alone. *)
+(* Run the jobs this process has not settled yet, each key once, on the
+   domain pool — or in worker processes when workers are configured
+   ([?jobs] is then ignored) — and return every job's cell in input
+   order.  A crashing job faults only itself: its cell is the fault (a
+   lost worker surfaces as [Pool.Worker_lost]) and the rest of the sweep,
+   its chunk-mates included, completes.  Each job builds its own program
+   and monitor, so jobs share no state, and cells are bit-identical to a
+   serial run at any geometry. *)
+let sweep ?jobs ?batch_size job_list =
+  let seen = Hashtbl.create 16 in
+  let todo =
+    List.filter
+      (fun j ->
+        let fresh = (not (Hashtbl.mem seen j.j_key)) && Option.is_none (memo_find j.j_key) in
+        if fresh then Hashtbl.add seen j.j_key ();
+        fresh)
+      job_list
+    |> Array.of_list
+  in
+  let report =
+    Trace.with_span ~stage:"sweep"
+      [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
+    @@ fun () ->
+    let results, report =
+      if Remote.enabled () && Array.length todo > 0 then remote_sweep ?batch_size todo
+      else Pool.sweep ?jobs ?batch_size ~key:job_key run_job todo
+    in
+    Array.iteri (fun i cell -> ignore (memo_publish todo.(i).j_key cell)) results;
+    report
+  in
+  (List.map (fun j -> Option.get (memo_find j.j_key)) job_list, report)
+
+(* Test hook: forget every memoized cell so a test can exercise the cold
+   path repeatedly in one process. Store stats reset too; the store
+   directory itself is left alone. *)
 let reset_for_tests () =
   Mutex.protect memo_lock (fun () -> Hashtbl.reset memo);
-  Mutex.protect fault_lock (fun () -> Hashtbl.reset fault_table);
   Store.reset_stats ()

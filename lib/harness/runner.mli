@@ -162,40 +162,15 @@ end
     editing a workload builder invalidates its cached runs. *)
 val program_digest : Chex86_isa.Program.t -> string
 
-(** Memoized on (workload, config, scale, timing, profile, tag). The
-    memo is domain-safe; repeated calls return the same [run] value.
-    On a memo miss the enabled {!Store} is consulted before simulating
-    (except for runs with a [?configure] hook, whose effects a stored
-    result can't capture). *)
-val run_workload :
-  ?tag:string ->
-  ?timing:bool ->
-  ?profile:bool ->
-  ?configure:(Chex86.Monitor.t -> unit) ->
-  scale:int ->
-  config ->
-  Chex86_workloads.Bench_spec.t ->
-  run
-
-(** [run_workload] that reports instead of simulating when a
-    supervised prefetch already classified the job as faulted, so
-    figure assembly can render an explicit FAULTED / LOST cell. *)
-val run_workload_result :
-  ?tag:string ->
-  ?timing:bool ->
-  ?profile:bool ->
-  ?configure:(Chex86.Monitor.t -> unit) ->
-  scale:int ->
-  config ->
-  Chex86_workloads.Bench_spec.t ->
-  (run, Pool.fault) result
-
-(** A (workload x config) simulation task for the parallel prefetcher;
-    [job_key] of the matching job is [run_workload]'s memo key. *)
+(** A (workload x config) simulation: one cell of a figure's grid. *)
 type job
 
+(** The job's key is computed here, once: it names the workload, the
+    installed µarch preset, every field of the configuration, the scale,
+    [timing] and [profile]. It is the memo key, the store key and the
+    sweep's task key, so two jobs share a memo entry, a store entry and
+    a sweep task exactly when their configurations are equal. *)
 val job :
-  ?tag:string ->
   ?timing:bool ->
   ?profile:bool ->
   scale:int ->
@@ -205,31 +180,45 @@ val job :
 
 val job_key : job -> string
 
+(** [run_workload ~scale c w] is the run of [job ~scale c w], simulated
+    in the calling domain on a memo miss, after the enabled {!Store} is
+    consulted. The memo is domain-safe; repeated calls return the same
+    [run] value. Raises [Failure] naming the fault if a {!sweep} in this
+    process faulted the job. *)
+val run_workload :
+  ?timing:bool ->
+  ?profile:bool ->
+  scale:int ->
+  config ->
+  Chex86_workloads.Bench_spec.t ->
+  run
+
 (** Register the ["bench"] remote task kind (workload lookup by name,
-    memo-key fields via a marshalled arg) so prefetches can run in
+    the other [job] arguments via a marshalled arg) so sweeps can run in
     worker processes; called by the worker binary at startup and by the
     supervisor before routing. Idempotent. *)
 val register_remote : unit -> unit
 
-(** Simulate the not-yet-memoized jobs through {!Pool.sweep} in batched
-    chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to the
-    process-wide knob / auto-sizing) and publish the results into the
-    memo in job order, so the serial figure-assembly code then hits the
-    memo. Results are bit-identical to running the same jobs serially,
-    at any batch size. A crashing job is recorded in the fault table
-    (see {!run_workload_result} / {!faulted_jobs}) and the rest of the
-    sweep — including the faulted job's chunk-mates — completes. Jobs
-    already faulted are skipped by later prefetches sharing the key.
+(** Run the jobs not yet settled in this process through {!Pool.sweep}
+    in batched chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size]
+    to the process-wide knob / auto-sizing) and return every job's cell
+    in input order, with the sweep's fault report. Repeated keys and
+    keys already settled (by an earlier sweep or [run_workload]) are not
+    run again. Cells are bit-identical to running the same jobs serially,
+    at any batch size. A crashing job's cell is its fault, and stays so
+    for later sweeps sharing the key (see {!faulted_jobs}); the rest of
+    the sweep — including the faulted job's chunk-mates — completes.
     When workers are configured ({!Remote.enabled}) the jobs run in
     worker processes instead ([?jobs] is ignored); a lost worker
-    surfaces as [Pool.Worker_lost] on the in-flight job. *)
-val prefetch_supervised : ?jobs:int -> ?batch_size:int -> job list ->
-  Pool.fault_report
+    surfaces as [Pool.Worker_lost] on the in-flight job, and the store
+    counts the workers moved are added to this process's {!Store.stats}. *)
+val sweep :
+  ?jobs:int -> ?batch_size:int -> job list -> (run, Pool.fault) result list * Pool.fault_report
 
-(** Every job a supervised prefetch classified as faulted this process,
-    as [(job key, fault)], sorted by key. *)
+(** Every job a sweep classified as faulted this process, as
+    [(job key, fault)], sorted by key. *)
 val faulted_jobs : unit -> (string * Pool.fault) list
 
-(** Test hook: forget every memoized run and recorded fault (and reset
-    store stats) so tests can exercise the cold path repeatedly. *)
+(** Test hook: forget every memoized cell, faults included (and reset
+    store stats), so tests can exercise the cold path repeatedly. *)
 val reset_for_tests : unit -> unit

@@ -8,6 +8,19 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
+(* Stable 64-bit FNV-1a over a key.  [Hashtbl.hash] would also be
+   deterministic, but spelling the hash out pins every seed derived
+   from a key against stdlib changes. *)
+let seed_of_key key =
+  let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    key;
+  (* Int64.to_int keeps the low 63 bits; mask the sign bit so the seed
+     is always non-negative. *)
+  Int64.to_int !h land max_int
+
 let next_int64 rng =
   let open Int64 in
   rng.state <- add rng.state 0x9E3779B97F4A7C15L;

@@ -3,6 +3,12 @@
 type t
 
 val create : int -> t
+
+(** Stable, non-negative FNV-1a hash of a key: a seed that depends on
+    the key alone, never on worker identity or scheduling order (the
+    seeded fault plan, the remote layer's respawn jitter and its
+    self-test kind draw from it). *)
+val seed_of_key : string -> int
 val next_int64 : t -> int64
 
 (** Uniform int in [0, bound); raises [Invalid_argument] if bound <= 0. *)

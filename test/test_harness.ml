@@ -82,15 +82,52 @@ let test_capability_cache_sensitivity () =
     Counter.ratio run.Runner.counters ~num:"capcache.miss" ~den:"capcache.hit"
   in
   let small =
-    Runner.run_workload ~tag:"t64" ~scale:1
+    Runner.run_workload ~scale:1
       (Runner.Chex (Chex86.Variant.make ~cap_cache_entries:64 Chex86.Variant.Microcode_prediction))
       w
   and big =
-    Runner.run_workload ~tag:"t128" ~scale:1
+    Runner.run_workload ~scale:1
       (Runner.Chex (Chex86.Variant.make ~cap_cache_entries:128 Chex86.Variant.Microcode_prediction))
       w
   in
   Alcotest.(check bool) "128-entry <= 64-entry miss rate" true (miss big <= miss small)
+
+(* Regression: the memo key named a configuration by its scheme alone,
+   so asking for perlbench with a 128-entry capability cache after the
+   default (64-entry) run returned the 64-entry run: capcache.miss read
+   376,702 instead of 370,462.  The key now names the whole variant. *)
+let test_distinct_configs_distinct_runs () =
+  Runner.reset_for_tests ();
+  let w = W.find "perlbench" in
+  let small = Runner.run_workload ~scale:1 Runner.prediction w in
+  let big =
+    Runner.run_workload ~scale:1
+      (Runner.Chex (Chex86.Variant.make ~cap_cache_entries:128 Chex86.Variant.Microcode_prediction))
+      w
+  in
+  Alcotest.(check bool) "a second memo entry" false (small == big);
+  Alcotest.(check bool) "the 128-entry run simulated its own cache" true
+    (Counter.get small.Runner.counters "capcache.miss"
+    <> Counter.get big.Runner.counters "capcache.miss")
+
+(* Equal configurations are one cell, however they were spelled: the
+   default variant and one built with the default sizes share a key, so
+   a sweep over both runs one task and returns the same value twice. *)
+let test_equal_configs_share_task () =
+  Runner.reset_for_tests ();
+  let w = W.find "swaptions" in
+  let spelled =
+    Runner.Chex
+      (Chex86.Variant.make ~cap_cache_entries:64 ~alias_cache_sets:128
+         Chex86.Variant.Microcode_prediction)
+  in
+  let cells, report =
+    Runner.sweep ~jobs:2 [ Runner.job ~scale:1 Runner.prediction w; Runner.job ~scale:1 spelled w ]
+  in
+  Alcotest.(check int) "one task" 1 report.Chex86_harness.Pool.tasks;
+  match cells with
+  | [ Ok a; Ok b ] -> Alcotest.(check bool) "the same run twice" true (a == b)
+  | _ -> Alcotest.fail "expected two completed cells"
 
 let test_table2_text () =
   let out = Experiments.table2 () in
@@ -177,8 +214,8 @@ let test_outcome_aborted () =
   | Runner.Aborted _ -> ()
   | _ -> Alcotest.fail "expected Aborted"
 
-(* CHEX86_WORKLOADS resolution: unknown names warn-and-ignore by
-   default but are an error under --strict. *)
+(* CHEX86_WORKLOADS resolution: an unknown name is an error naming it,
+   with or without --strict; there is no fallback to another set. *)
 let test_resolve_workloads () =
   let all = W.all in
   let names ws = List.map (fun (w : Chex86_workloads.Bench_spec.t) -> w.name) ws in
@@ -188,24 +225,14 @@ let test_resolve_workloads () =
   (match Experiments.resolve_workloads ~all "" with
   | Ok ws -> Alcotest.(check int) "empty spec sweeps all" (List.length all) (List.length ws)
   | Error e -> Alcotest.fail e);
-  (* Non-strict: unknown names are dropped with a warning. *)
-  (match Experiments.resolve_workloads ~all "bogus,mcf" with
-  | Ok ws -> Alcotest.(check (list string)) "unknown ignored" [ "mcf" ] (names ws)
-  | Error e -> Alcotest.fail e);
-  (* Non-strict with no known name left: falls back to all. *)
-  (match Experiments.resolve_workloads ~all "bogus" with
-  | Ok ws -> Alcotest.(check int) "fallback to all" (List.length all) (List.length ws)
-  | Error e -> Alcotest.fail e);
-  (* Strict: the same unknown name is a hard error naming the culprit. *)
-  (match Experiments.resolve_workloads ~strict:true ~all "bogus,mcf" with
-  | Ok _ -> Alcotest.fail "strict resolution should reject unknown names"
-  | Error msg ->
-    Alcotest.(check bool) "error names the unknown workload" true
-      (contains ~needle:"bogus" msg));
-  (* Strict with only valid names still succeeds. *)
-  match Experiments.resolve_workloads ~strict:true ~all "mcf" with
-  | Ok ws -> Alcotest.(check (list string)) "strict ok" [ "mcf" ] (names ws)
-  | Error e -> Alcotest.fail e
+  List.iter
+    (fun spec ->
+      match Experiments.resolve_workloads ~all spec with
+      | Ok _ -> Alcotest.failf "%S should be rejected" spec
+      | Error msg ->
+        Alcotest.(check bool) ("error names the unknown workload in " ^ spec) true
+          (contains ~needle:"\"bogus\"" msg))
+    [ "bogus,mcf"; "bogus" ]
 
 (* CHEX86_SCALE: anything but an integer >= 1 is an error naming the
    value, never a silent fallback to scale 1. *)
@@ -228,11 +255,11 @@ let test_ablation_tlb_filter () =
     + Counter.get r.Runner.counters "aliascache.miss"
   in
   let on =
-    Runner.run_workload ~tag:"abl-tlb-on" ~scale:1
+    Runner.run_workload ~scale:1
       (Runner.Chex (Chex86.Variant.make Chex86.Variant.Microcode_prediction))
       w
   and off =
-    Runner.run_workload ~tag:"abl-tlb-off" ~scale:1
+    Runner.run_workload ~scale:1
       (Runner.Chex
          (Chex86.Variant.make ~tlb_alias_filter:false Chex86.Variant.Microcode_prediction))
       w
@@ -251,7 +278,7 @@ let test_ablation_scope_reduces_bloat () =
       ~scope:(Chex86.Variant.Ranges [ (Chex86_isa.Program.text_base, Chex86_isa.Program.text_base + 64) ])
       Chex86.Variant.Microcode_prediction
   in
-  let scoped = Runner.run_workload ~tag:"abl-scope" ~scale:1 (Runner.Chex narrow) w in
+  let scoped = Runner.run_workload ~scale:1 (Runner.Chex narrow) w in
   let full = Runner.run_workload ~scale:1 Runner.prediction w in
   Alcotest.(check bool) "scoped run injects fewer uops" true
     (scoped.Runner.uops_injected < full.Runner.uops_injected)
@@ -264,15 +291,49 @@ let test_ablation_victim_cache_helps () =
     and m = Counter.get r.Runner.counters "aliascache.miss" in
     float_of_int m /. float_of_int (max 1 (hit + victim + m))
   in
-  let with_victim = Runner.run_workload ~tag:"abl-vc-on" ~scale:1 Runner.prediction w
+  let with_victim = Runner.run_workload ~scale:1 Runner.prediction w
   and without =
-    Runner.run_workload ~tag:"abl-vc-off" ~scale:1
+    Runner.run_workload ~scale:1
       (Runner.Chex
          (Chex86.Variant.make ~alias_victim_entries:0 Chex86.Variant.Microcode_prediction))
       w
   in
   Alcotest.(check bool) "victim cache does not hurt" true
     (miss with_victim <= miss without +. 0.01)
+
+(* An ablation is one supervised sweep: an injected crash in one cell
+   renders that cell FAULTED with the fault report under the table, and
+   every other row still renders.  (Ablations used to run serially
+   outside the pool, where a crash killed the target.) *)
+let test_ablation_cell_fault () =
+  let no_victim =
+    Runner.Chex (Chex86.Variant.make ~alias_victim_entries:0 Chex86.Variant.Microcode_prediction)
+  in
+  let faulted = Runner.job_key (Runner.job ~scale:Experiments.scale no_victim (W.find "mcf")) in
+  Runner.reset_for_tests ();
+  Chex86_harness.Faultinject.arm
+    (Chex86_harness.Faultinject.of_list [ (faulted, Chex86_harness.Faultinject.crash ()) ]);
+  let out =
+    Fun.protect
+      ~finally:(fun () ->
+        Chex86_harness.Faultinject.disarm ();
+        Runner.reset_for_tests ())
+      Chex86_harness.Ablations.victim_cache_ablation
+  in
+  let lines = String.split_on_char '\n' out in
+  let row name = List.find_opt (String.starts_with ~prefix:(name ^ " ")) lines in
+  (match row "mcf" with
+  | Some l ->
+    Alcotest.(check bool) "the crashed cell renders FAULTED" true (contains ~needle:"FAULTED" l)
+  | None -> Alcotest.fail "no mcf row");
+  List.iter
+    (fun name ->
+      match row name with
+      | Some l -> Alcotest.(check bool) (name ^ " renders") false (contains ~needle:"FAULTED" l)
+      | None -> Alcotest.fail ("no row for " ^ name))
+    [ "perlbench"; "gcc"; "xalancbmk"; "leela"; "canneal" ];
+  Alcotest.(check bool) "fault footer" true
+    (contains ~needle:"sweep fault report: 12 task(s), 11 ok, 1 crashed" out)
 
 let test_security_summary () =
   (* Full sweep: every exploit of all three suites blocked. *)
@@ -308,6 +369,10 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "memoization" `Quick test_runner_memoizes;
+          Alcotest.test_case "distinct configs, distinct runs" `Slow
+            test_distinct_configs_distinct_runs;
+          Alcotest.test_case "equal configs share one task" `Quick
+            test_equal_configs_share_task;
           Alcotest.test_case "config names" `Quick test_runner_config_names;
           Alcotest.test_case "budget exhaustion reported" `Quick
             test_outcome_budget_exhausted;
@@ -344,6 +409,7 @@ let () =
           Alcotest.test_case "TLB filter" `Slow test_ablation_tlb_filter;
           Alcotest.test_case "scope reduces bloat" `Slow test_ablation_scope_reduces_bloat;
           Alcotest.test_case "victim cache" `Slow test_ablation_victim_cache_helps;
+          Alcotest.test_case "a faulted cell renders FAULTED" `Slow test_ablation_cell_fault;
         ] );
       ("security", [ Alcotest.test_case "all suites blocked" `Slow test_security_summary ]);
     ]

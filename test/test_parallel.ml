@@ -252,7 +252,7 @@ let test_security_sweep_determinism () =
    the task key. Any scheduling dependence (worker identity, chunk
    geometry) would show up in the draws. *)
 let batched_body key =
-  let rng = Rng.create (Pool.seed_of_key key) in
+  let rng = Rng.create (Rng.seed_of_key key) in
   (key, List.init 12 (fun _ -> Rng.int rng 1000))
 
 (* qcheck: ANY (jobs, batch_size) pair is byte-identical to the serial
@@ -506,13 +506,13 @@ let test_memo_domain_safety () =
     sweep_values ~jobs:4 ~batch_size:1
       ~key:(fun (wname, config) -> wname ^ "/" ^ Runner.config_name config)
       (fun (wname, config) ->
-        Runner.run_workload ~tag:"memo-race" ~timing:false ~scale:1 config (W.find wname))
+        Runner.run_workload ~timing:false ~scale:1 config (W.find wname))
       tasks
   in
   Array.iteri
     (fun i (wname, config) ->
       let canonical =
-        Runner.run_workload ~tag:"memo-race" ~timing:false ~scale:1 config (W.find wname)
+        Runner.run_workload ~timing:false ~scale:1 config (W.find wname)
       in
       Alcotest.(check bool)
         (Printf.sprintf "task %d (%s) got the memoized run" i wname)
@@ -531,14 +531,6 @@ let test_rng_streams_domain_independent () =
   let serial = Array.map draw seeds in
   let parallel = sweep_values ~jobs:4 ~batch_size:1 ~key:string_of_int draw seeds in
   Alcotest.(check bool) "identical streams" true (serial = parallel)
-
-(* Pool.seed_of_key is part of the determinism contract: pin it. *)
-let test_seed_of_key_stable () =
-  Alcotest.(check bool) "distinct keys, distinct seeds" true
-    (Pool.seed_of_key "mcf/insecure" <> Pool.seed_of_key "mcf/prediction");
-  Alcotest.(check int) "stable across calls" (Pool.seed_of_key "mcf/insecure")
-    (Pool.seed_of_key "mcf/insecure");
-  Alcotest.(check bool) "non-negative" true (Pool.seed_of_key "" >= 0)
 
 (* Pool.run_chunks must return results in task order, and re-raise an
    exception from a chunk body deterministically: the lowest-index
@@ -589,7 +581,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map basics" `Quick test_run_chunks_basics;
-          Alcotest.test_case "seed_of_key stable" `Quick test_seed_of_key_stable;
         ] );
       ( "batched",
         [

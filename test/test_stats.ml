@@ -196,6 +196,15 @@ let test_render_table_placeholder_alignment () =
       rows
   | _ -> Alcotest.fail "unexpected table shape")
 
+(* Rng.seed_of_key is part of the determinism contract (seeded fault
+   plans, remote respawn jitter): pin it. *)
+let test_seed_of_key_stable () =
+  Alcotest.(check bool) "distinct keys, distinct seeds" true
+    (Rng.seed_of_key "mcf/insecure" <> Rng.seed_of_key "mcf/prediction");
+  Alcotest.(check int) "stable across calls" (Rng.seed_of_key "mcf/insecure")
+    (Rng.seed_of_key "mcf/insecure");
+  Alcotest.(check bool) "non-negative" true (Rng.seed_of_key "" >= 0)
+
 let () =
   Alcotest.run "stats"
     [
@@ -220,6 +229,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed divergence" `Quick test_rng_distinct_seeds;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "seed_of_key stable" `Quick test_seed_of_key_stable;
           QCheck_alcotest.to_alcotest qcheck_rng_int_bounds;
         ] );
       ( "render",

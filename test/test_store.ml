@@ -66,12 +66,63 @@ let write_file path body =
 let root_listing () = List.sort compare (Array.to_list (Sys.readdir store_dir))
 
 (* A real job whose entry the tests plant by hand. *)
-let planted_job tag =
+let planted_job () =
   let w = Chex86_workloads.Workloads.find "swaptions" in
-  let key = Runner.job_key (Runner.job ~tag ~timing:false ~scale:1 Runner.insecure w) in
+  let key = Runner.job_key (Runner.job ~timing:false ~scale:1 Runner.insecure w) in
   let digest = Runner.program_digest (w.build ~scale:1) in
-  let run () = Runner.run_workload ~tag ~timing:false ~scale:1 Runner.insecure w in
+  let run () = Runner.run_workload ~timing:false ~scale:1 Runner.insecure w in
   (path_exn ~digest key, run)
+
+(* --- keys -------------------------------------------------------------------- *)
+
+(* Regression: the store key named a configuration by its scheme alone,
+   so a fresh process asking for perlbench with a 128-entry capability
+   cache was served the stored default (64-entry) run. *)
+let test_distinct_configs_miss () =
+  with_store (fun () ->
+      let w = Chex86_workloads.Workloads.find "perlbench" in
+      let small = Runner.run_workload ~scale:1 Runner.prediction w in
+      Runner.reset_for_tests ();
+      let big =
+        Runner.run_workload ~scale:1
+          (Runner.Chex
+             (Chex86.Variant.make ~cap_cache_entries:128 Chex86.Variant.Microcode_prediction))
+          w
+      in
+      let s = Store.stats () in
+      Alcotest.(check int) "the 128-entry request misses" 1 s.Store.misses;
+      Alcotest.(check int) "and writes its own entry" 1 s.Store.writes;
+      Alcotest.(check int) "never a hit" 0 s.Store.hits;
+      Alcotest.(check bool) "a different run" true (run_fields small <> run_fields big))
+
+(* Regression: under --workers the store traffic happened in the worker
+   processes, so the supervisor's --metrics read zero hits, misses and
+   writes.  A remote job now ships its store counts back with its run. *)
+let test_workers_count_store_traffic () =
+  with_store (fun () ->
+      let jobs =
+        List.map
+          (fun name ->
+            Runner.job ~timing:false ~scale:1 Runner.insecure
+              (Chex86_workloads.Workloads.find name))
+          [ "swaptions"; "blackscholes"; "mcf" ]
+      in
+      let sweep () =
+        Chex86_harness.Remote.set_spec (Chex86_harness.Remote.Spawn 2);
+        Fun.protect
+          ~finally:(fun () -> Chex86_harness.Remote.set_spec Chex86_harness.Remote.Off)
+          (fun () -> snd (Runner.sweep jobs))
+      in
+      let report = sweep () in
+      Alcotest.(check int) "cold sweep completed" 3 report.Chex86_harness.Pool.ok;
+      let s = Store.stats () in
+      Alcotest.(check (list int)) "cold: hits, misses, writes" [ 0; 3; 3 ]
+        [ s.Store.hits; s.Store.misses; s.Store.writes ];
+      Runner.reset_for_tests ();
+      ignore (sweep ());
+      let s = Store.stats () in
+      Alcotest.(check (list int)) "warm: hits, misses, writes" [ 3; 0; 0 ]
+        [ s.Store.hits; s.Store.misses; s.Store.writes ])
 
 (* --- layout ---------------------------------------------------------------- *)
 
@@ -95,7 +146,7 @@ let test_old_layout_never_served () =
       (* A valid entry for a real job where the sharded layout kept it:
          objects/<first two hex chars of the id>/<name>.  The store
          reads only its root, so the job re-simulates. *)
-      let entry, run = planted_job "old-layout" in
+      let entry, run = planted_job () in
       let name = Filename.basename entry in
       let shard = String.sub name (String.length name - 36) 2 in
       let objects = Filename.concat store_dir "objects" in
@@ -127,7 +178,7 @@ let test_legacy_v1_entry_is_a_miss () =
       (* Hand-build a chex86-store-v1 entry at a real job's path.  v1
          entries predate later timing fixes, so serving one would hand
          out stale cycles. *)
-      let entry, run = planted_job "legacy" in
+      let entry, run = planted_job () in
       Unix.mkdir store_dir 0o755;
       let write_v1 path =
         let payload = Marshal.to_string (dummy_run 7 : Runner.run) [] in
@@ -451,6 +502,12 @@ let test_multiprocess_writers () =
 let () =
   Alcotest.run "store"
     [
+      ( "keys",
+        [
+          Alcotest.test_case "distinct configs miss the store" `Slow test_distinct_configs_miss;
+          Alcotest.test_case "workers count store traffic" `Quick
+            test_workers_count_store_traffic;
+        ] );
       ( "layout",
         [
           Alcotest.test_case "flat layout" `Quick test_flat_layout;

@@ -181,7 +181,8 @@ let test_batched_supervised_matches_unbatched () =
     Faultinject.of_list [ ("2", Faultinject.crash ()); ("6", Faultinject.crash ()) ]
   in
   let body x =
-    x + Chex86_stats.Rng.int (Chex86_stats.Rng.create (Pool.seed_of_key (key_of x))) 100
+    let module Rng = Chex86_stats.Rng in
+    x + Rng.int (Rng.create (Rng.seed_of_key (key_of x))) 100
   in
   let shape (results, report) =
     (Array.map (Result.map_error fault_shape) results, report_shape report)
@@ -277,14 +278,14 @@ let run_fields (r : Runner.run) =
 let test_store_roundtrip () =
   with_store (fun () ->
       let w = W.find "swaptions" in
-      let a = Runner.run_workload ~tag:"st1" ~scale:1 Runner.insecure w in
+      let a = Runner.run_workload ~scale:1 Runner.insecure w in
       let s = Runner.Store.stats () in
       Alcotest.(check int) "cold run wrote an entry" 1 s.Runner.Store.writes;
       Alcotest.(check int) "cold run missed" 1 s.Runner.Store.misses;
       (* Forget the in-memory memo: the next call must load from disk
          and simulate nothing. *)
       Runner.reset_for_tests ();
-      let b = Runner.run_workload ~tag:"st1" ~scale:1 Runner.insecure w in
+      let b = Runner.run_workload ~scale:1 Runner.insecure w in
       let s = Runner.Store.stats () in
       Alcotest.(check int) "warm run hit the store" 1 s.Runner.Store.hits;
       Alcotest.(check int) "warm run wrote nothing" 0 s.Runner.Store.writes;
@@ -295,11 +296,11 @@ let test_store_roundtrip () =
 let test_store_discards_corrupt_entry () =
   with_store (fun () ->
       let w = W.find "swaptions" in
-      let a = Runner.run_workload ~tag:"st2" ~scale:1 Runner.insecure w in
+      let a = Runner.run_workload ~scale:1 Runner.insecure w in
       (* Tear the entry as if the process died mid-write. *)
       Unix.truncate (the_store_entry ()) 25;
       Runner.reset_for_tests ();
-      let b = Runner.run_workload ~tag:"st2" ~scale:1 Runner.insecure w in
+      let b = Runner.run_workload ~scale:1 Runner.insecure w in
       let s = Runner.Store.stats () in
       Alcotest.(check int) "corrupt entry discarded" 1 s.Runner.Store.discarded;
       Alcotest.(check int) "and quarantined, not deleted" 1 s.Runner.Store.quarantined;
@@ -309,7 +310,7 @@ let test_store_discards_corrupt_entry () =
 let test_store_rejects_version_and_digest_mismatch () =
   with_store (fun () ->
       let w = W.find "swaptions" in
-      let _ = Runner.run_workload ~tag:"st3" ~scale:1 Runner.insecure w in
+      let _ = Runner.run_workload ~scale:1 Runner.insecure w in
       let path = the_store_entry () in
       (* Flip one payload byte: the digest line no longer matches. *)
       let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -318,7 +319,7 @@ let test_store_rejects_version_and_digest_mismatch () =
       ignore (Unix.write fd (Bytes.make 1 '\xFF') 0 1);
       Unix.close fd;
       Runner.reset_for_tests ();
-      let _ = Runner.run_workload ~tag:"st3" ~scale:1 Runner.insecure w in
+      let _ = Runner.run_workload ~scale:1 Runner.insecure w in
       let s = Runner.Store.stats () in
       Alcotest.(check int) "tampered entry discarded" 1 s.Runner.Store.discarded;
       Alcotest.(check int) "no false hit" 0 s.Runner.Store.hits)
@@ -330,55 +331,48 @@ let test_killed_then_resumed_sweep () =
   with_store (fun () ->
       let jobs_list =
         List.map
-          (fun name -> Runner.job ~tag:"resume" ~scale:1 Runner.insecure (W.find name))
+          (fun name -> Runner.job ~scale:1 Runner.insecure (W.find name))
           [ "swaptions"; "mcf"; "canneal" ]
       in
-      let report = Runner.prefetch_supervised ~jobs:2 jobs_list in
-      Alcotest.(check int) "cold sweep healthy" 0 report.Pool.crashed;
-      let first =
+      let fields cells =
         List.map
-          (fun name ->
-            run_fields
-              (Runner.run_workload ~tag:"resume" ~scale:1 Runner.insecure (W.find name)))
-          [ "swaptions"; "mcf"; "canneal" ]
+          (function Ok run -> run_fields run | Error _ -> Alcotest.fail "a cell faulted")
+          cells
       in
+      let cells, report = Runner.sweep ~jobs:2 jobs_list in
+      Alcotest.(check int) "cold sweep healthy" 0 report.Pool.crashed;
+      let first = fields cells in
       Alcotest.(check int) "three entries written" 3 (Runner.Store.stats ()).Runner.Store.writes;
       (* Kill: drop all in-process state; tear one entry. *)
       let victim = List.nth (store_entries ()) 1 in
       Unix.truncate victim 30;
       Runner.reset_for_tests ();
-      let report = Runner.prefetch_supervised ~jobs:2 jobs_list in
+      let cells, report = Runner.sweep ~jobs:2 jobs_list in
       Alcotest.(check int) "resumed sweep healthy" 0 report.Pool.crashed;
-      let second =
-        List.map
-          (fun name ->
-            run_fields
-              (Runner.run_workload ~tag:"resume" ~scale:1 Runner.insecure (W.find name)))
-          [ "swaptions"; "mcf"; "canneal" ]
-      in
+      let second = fields cells in
       let s = Runner.Store.stats () in
       Alcotest.(check bool) "resume reproduces identical results" true (first = second);
       Alcotest.(check int) "two tasks loaded from disk" 2 s.Runner.Store.hits;
       Alcotest.(check int) "the torn entry was discarded" 1 s.Runner.Store.discarded;
       Alcotest.(check int) "only the damaged task re-simulated" 1 s.Runner.Store.writes)
 
-let test_prefetch_supervised_records_faults () =
-  (* A faulted job is visible through run_workload_result and
-     faulted_jobs, and a later supervised prefetch does not run it again. *)
+let test_sweep_records_faults () =
+  (* A faulted job's cell is its fault, faulted_jobs lists it, and a
+     later sweep returns the same fault without running it again. *)
   with_store (fun () ->
       let w = W.find "swaptions" in
-      let job = Runner.job ~tag:"st5" ~scale:1 Runner.insecure w in
+      let job = Runner.job ~scale:1 Runner.insecure w in
       let plan = Faultinject.of_list [ (Runner.job_key job, Faultinject.crash ()) ] in
-      let report = with_plan plan (fun () -> Runner.prefetch_supervised ~jobs:2 [ job ]) in
+      let cells, report = with_plan plan (fun () -> Runner.sweep ~jobs:2 [ job ]) in
       Alcotest.(check int) "the job crashed" 1 report.Pool.crashed;
-      (match Runner.run_workload_result ~tag:"st5" ~scale:1 Runner.insecure w with
-      | Error (Pool.Crashed _) -> ()
-      | _ -> Alcotest.fail "fault should be reported through run_workload_result");
-      Alcotest.(check int) "recorded in the fault table" 1
-        (List.length (Runner.faulted_jobs ()));
-      (* Re-prefetching skips the faulted key entirely. *)
-      let report2 = Runner.prefetch_supervised ~jobs:2 [ job ] in
-      Alcotest.(check int) "nothing re-attempted" 0 report2.Pool.tasks)
+      (match cells with
+      | [ Error (Pool.Crashed _) ] -> ()
+      | _ -> Alcotest.fail "the cell should be the fault");
+      Alcotest.(check int) "listed by faulted_jobs" 1 (List.length (Runner.faulted_jobs ()));
+      (* Sweeping again skips the faulted key entirely. *)
+      let cells2, report2 = Runner.sweep ~jobs:2 [ job ] in
+      Alcotest.(check int) "nothing re-attempted" 0 report2.Pool.tasks;
+      Alcotest.(check bool) "the same fault again" true (List.hd cells2 == List.hd cells))
 
 let test_tmp_reclamation () =
   (* Stale .tmp-* files from a killed sweep are swept on configure.  Age
@@ -417,7 +411,7 @@ let test_store_marshal_guard () =
      a crash. *)
   with_store (fun () ->
       let w = W.find "swaptions" in
-      let a = Runner.run_workload ~tag:"st6" ~scale:1 Runner.insecure w in
+      let a = Runner.run_workload ~scale:1 Runner.insecure w in
       let path = the_store_entry () in
       let ic = open_in_bin path in
       let body =
@@ -438,7 +432,7 @@ let test_store_marshal_guard () =
         (String.length payload) payload;
       close_out oc;
       Runner.reset_for_tests ();
-      let b = Runner.run_workload ~tag:"st6" ~scale:1 Runner.insecure w in
+      let b = Runner.run_workload ~scale:1 Runner.insecure w in
       let s = Runner.Store.stats () in
       Alcotest.(check int) "digest-valid truncated entry discarded" 1
         s.Runner.Store.discarded;
@@ -485,7 +479,7 @@ let () =
           Alcotest.test_case "killed-then-resumed sweep" `Quick
             test_killed_then_resumed_sweep;
           Alcotest.test_case "prefetch records faults" `Quick
-            test_prefetch_supervised_records_faults;
+            test_sweep_records_faults;
           Alcotest.test_case "stale tmp reclaimed" `Quick test_tmp_reclamation;
           Alcotest.test_case "marshal guard on digest-valid entry" `Quick
             test_store_marshal_guard;

@@ -377,18 +377,18 @@ let test_metrics_export () =
     (metrics_histogram v "sweep.protected_macro_insns" = None)
 
 (* Figure sweeps publish their pool.* counters to --metrics just like the
-   security sweep does: the prefetcher's in-process path is Pool.sweep. *)
-let test_prefetch_metrics_export () =
-  let swaptions = Chex86_workloads.Workloads.find "swaptions" in
+   security sweep does: Runner.sweep's in-process path is Pool.sweep. *)
+let test_sweep_metrics_export () =
   let jobs =
     List.map
-      (fun tag -> Runner.job ~tag ~timing:false ~scale:1 Runner.insecure swaptions)
-      [ "metrics-a"; "metrics-b"; "metrics-c" ]
+      (fun name ->
+        Runner.job ~timing:false ~scale:1 Runner.insecure (Chex86_workloads.Workloads.find name))
+      [ "swaptions"; "blackscholes"; "mcf" ]
   in
   Runner.reset_for_tests ();
-  let report, v =
+  let (_, report), v =
     Fun.protect ~finally:Runner.reset_for_tests (fun () ->
-        with_metrics (fun () -> Runner.prefetch_supervised ~jobs:2 jobs))
+        with_metrics (fun () -> Runner.sweep ~jobs:2 jobs))
   in
   Alcotest.(check int) "no faults" 0 (List.length report.Pool.task_faults);
   Alcotest.(check (option int))
@@ -466,7 +466,7 @@ let () =
         [
           Alcotest.test_case "export" `Quick test_metrics_export;
           Alcotest.test_case "prefetch exports pool counters" `Quick
-            test_prefetch_metrics_export;
+            test_sweep_metrics_export;
         ] );
       ( "cli",
         [
